@@ -806,6 +806,8 @@ func registerModelRoutes(mux *http.ServeMux, host *modelHost) {
 			httpError(w, storeStatus(err), err)
 			return
 		}
+		// Frees the model's artifacts; correctness does not depend on it,
+		// since cache keys carry the content hash.
 		host.cache.Invalidate(tenant, model)
 		writeJSON(w, http.StatusOK, map[string]string{"deleted": tenant + "/" + model})
 	})

@@ -15,18 +15,7 @@ import (
 // canonical serialization (the content hash the model store dedups on).
 func FuzzParseDSL(f *testing.F) {
 	f.Add(paperDSL)
-	for _, seed := range []string{
-		"",
-		"service c cpu {\n speed 1e9\n rate 1e-10\n}",
-		"service s composite(n) {\n state w and nosharing {\n  call c(n)\n }\n transition Start -> w prob 1\n transition w -> End prob 1\n}",
-		"assembly a {\n bind s.c -> c\n}",
-		"service x constant {\n pfail 0.5\n}",
-		"service broken",
-		"service s composite() {",
-		"transition Start -> End prob 1",
-		"# only a comment",
-		"service s cpu {\n speed -1\n rate nan\n}",
-	} {
+	for _, seed := range DSLSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

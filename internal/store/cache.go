@@ -9,31 +9,35 @@ import (
 	"socrel/internal/core"
 )
 
-// resolve loads ref and picks the assembly: an empty name selects the
-// document's sole assembly and fails if the document defines several.
-func resolve(st Store, ref Ref, assemblyName string) (Record, *adl.Document, string, error) {
-	rec, err := st.Get(ref)
-	if err != nil {
-		return Record{}, nil, "", err
-	}
+// resolve parses rec's document and picks the assembly: an empty name
+// selects the document's sole assembly and fails if it defines several.
+func resolve(rec Record, assemblyName string) (*adl.Document, string, error) {
 	doc, err := rec.Document()
 	if err != nil {
-		return Record{}, nil, "", err
+		return nil, "", err
 	}
 	if assemblyName == "" {
 		names := doc.AssemblyNames()
 		if len(names) != 1 {
-			return Record{}, nil, "", fmt.Errorf("store: %s defines assemblies %v; pick one", rec.Ref, names)
+			return nil, "", fmt.Errorf("store: %s defines assemblies %v; pick one", rec.Ref, names)
 		}
 		assemblyName = names[0]
 	}
-	return rec, doc, assemblyName, nil
+	return doc, assemblyName, nil
 }
 
 // ArtifactCache is an LRU of compiled assemblies keyed by concrete
-// (tenant, model, version, assembly). It is the hot-reload path between
-// the store and the engine: resolving a Ref loads the record, builds the
-// named assembly, compiles it, and memoizes the immutable artifact.
+// (tenant, model, version, content hash, assembly). It is the hot-reload
+// path between the store and the engine: resolving a Ref loads the
+// record, builds the named assembly, compiles it, and memoizes the
+// immutable artifact.
+//
+// Hit path: a Load is Store.Get, a key lookup and LRU bookkeeping. The
+// key comes from the record's metadata alone, so a hit never parses the
+// stored document; only a miss parses it, once, and compiles. An empty
+// assembly name is resolved to the document's sole assembly on the first
+// miss, and the artifact is then also filed under the empty name, so
+// later empty-name hits skip the parse too.
 //
 // Invalidation rules (DESIGN.md §12):
 //
@@ -42,13 +46,16 @@ func resolve(st Store, ref Ref, assemblyName string) (Record, *adl.Document, str
 //   - A Ref with Version 0 ("latest") is resolved to a concrete version
 //     on every load, so a publish is picked up on the next latest-load
 //     while pinned versions keep serving their old artifact untouched.
-//   - Delete does not reach into the cache; callers that delete a model
-//     call Invalidate to drop its artifacts.
+//   - The key carries the content hash, so a version number reused after
+//     Delete (versions restart at 1) never serves the deleted model's
+//     artifact. Invalidate only releases memory.
 type ArtifactCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	entries  map[artifactKey]*list.Element
+	// entries maps each key to its element; an entry whose sole
+	// assembly was also requested by the empty name sits under both.
+	entries map[artifactKey]*list.Element
 
 	hits, misses, evictions uint64
 }
@@ -56,13 +63,16 @@ type ArtifactCache struct {
 type artifactKey struct {
 	tenant, model string
 	version       int
+	hash          string
 	assembly      string
 }
 
 type artifactEntry struct {
-	key artifactKey
-	ca  *core.CompiledAssembly
-	rec Record
+	key artifactKey // names the assembly
+	// unnamed reports that the entry is also filed under key with an
+	// empty assembly name.
+	unnamed bool
+	ca      *core.CompiledAssembly
 }
 
 // CacheStats is a snapshot of the cache counters.
@@ -90,19 +100,31 @@ func NewArtifactCache(capacity int) *ArtifactCache {
 // document defines several. The returned Record identifies the concrete
 // version served.
 func (c *ArtifactCache) Load(st Store, ref Ref, assemblyName string, opts core.Options) (*core.CompiledAssembly, Record, error) {
-	rec, doc, assemblyName, err := resolve(st, ref, assemblyName)
+	rec, err := st.Get(ref)
 	if err != nil {
 		return nil, Record{}, err
 	}
-	key := artifactKey{tenant: rec.Tenant, model: rec.Model, version: rec.Version, assembly: assemblyName}
+	key := artifactKey{tenant: rec.Tenant, model: rec.Model, version: rec.Version, hash: rec.Hash, assembly: assemblyName}
 
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
+	if ca := c.lookupLocked(key, assemblyName == ""); ca != nil {
 		c.hits++
-		ent := el.Value.(*artifactEntry)
 		c.mu.Unlock()
-		return ent.ca, ent.rec, nil
+		return ca, rec, nil
+	}
+	c.mu.Unlock()
+
+	doc, name, err := resolve(rec, assemblyName)
+	if err != nil {
+		return nil, Record{}, err
+	}
+	key.assembly = name
+
+	c.mu.Lock()
+	if ca := c.lookupLocked(key, assemblyName == ""); ca != nil { // resident under its name
+		c.hits++
+		c.mu.Unlock()
+		return ca, rec, nil
 	}
 	c.misses++
 	c.mu.Unlock()
@@ -110,38 +132,73 @@ func (c *ArtifactCache) Load(st Store, ref Ref, assemblyName string, opts core.O
 	// Compile outside the lock: compilation is slow and artifacts are
 	// immutable, so a duplicate concurrent compile is wasted work, not a
 	// correctness problem.
-	ca, err := core.CompileDocument(doc, assemblyName, opts)
+	ca, err := core.CompileDocument(doc, name, opts)
 	if err != nil {
-		return nil, Record{}, fmt.Errorf("store: compile %s (%s): %w", rec.Ref, assemblyName, err)
+		return nil, Record{}, fmt.Errorf("store: compile %s (%s): %w", rec.Ref, name, err)
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok { // lost the compile race; keep first
-		c.ll.MoveToFront(el)
-		ent := el.Value.(*artifactEntry)
-		return ent.ca, ent.rec, nil
+	if first := c.lookupLocked(key, assemblyName == ""); first != nil { // lost the compile race; keep first
+		return first, rec, nil
 	}
-	c.entries[key] = c.ll.PushFront(&artifactEntry{key: key, ca: ca, rec: rec})
+	ent := &artifactEntry{key: key, unnamed: assemblyName == "", ca: ca}
+	el := c.ll.PushFront(ent)
+	c.entries[key] = el
+	if ent.unnamed {
+		c.entries[unnamedKey(key)] = el
+	}
 	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*artifactEntry).key)
+		c.removeLocked(c.ll.Back())
 		c.evictions++
 	}
 	return ca, rec, nil
 }
 
-// Invalidate drops every cached artifact of (tenant, model) — used after
-// Delete. It never drops other models' artifacts.
+// lookupLocked returns the artifact filed under key and marks it most
+// recently used, or returns nil. With unnamed set, a key that names the
+// assembly also files the entry under the empty name.
+func (c *ArtifactCache) lookupLocked(key artifactKey, unnamed bool) *core.CompiledAssembly {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	ent := el.Value.(*artifactEntry)
+	if unnamed && !ent.unnamed {
+		ent.unnamed = true
+		c.entries[unnamedKey(ent.key)] = el
+	}
+	return ent.ca
+}
+
+func unnamedKey(key artifactKey) artifactKey {
+	key.assembly = ""
+	return key
+}
+
+// removeLocked drops one entry under every key it is filed under.
+func (c *ArtifactCache) removeLocked(el *list.Element) {
+	ent := c.ll.Remove(el).(*artifactEntry)
+	delete(c.entries, ent.key)
+	if ent.unnamed {
+		delete(c.entries, unnamedKey(ent.key))
+	}
+}
+
+// Invalidate drops every cached artifact of (tenant, model). Keys carry
+// the content hash, so this is a memory release, not a correctness step:
+// a model deleted and republished never hits its old artifacts. It never
+// drops other models' artifacts.
 func (c *ArtifactCache) Invalidate(tenant, model string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.entries {
-		if key.tenant == tenant && key.model == model {
-			c.ll.Remove(el)
-			delete(c.entries, key)
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if key := el.Value.(*artifactEntry).key; key.tenant == tenant && key.model == model {
+			c.removeLocked(el)
 		}
+		el = next
 	}
 }
 
@@ -155,13 +212,17 @@ func (c *ArtifactCache) Stats() CacheStats {
 // Compile is the uncached compile-from-stored-form path: it loads ref and
 // compiles its sole (or named) assembly.
 func Compile(st Store, ref Ref, assemblyName string, opts core.Options) (*core.CompiledAssembly, Record, error) {
-	rec, doc, assemblyName, err := resolve(st, ref, assemblyName)
+	rec, err := st.Get(ref)
 	if err != nil {
 		return nil, Record{}, err
 	}
-	ca, err := core.CompileDocument(doc, assemblyName, opts)
+	doc, name, err := resolve(rec, assemblyName)
 	if err != nil {
-		return nil, Record{}, fmt.Errorf("store: compile %s (%s): %w", rec.Ref, assemblyName, err)
+		return nil, Record{}, err
+	}
+	ca, err := core.CompileDocument(doc, name, opts)
+	if err != nil {
+		return nil, Record{}, fmt.Errorf("store: compile %s (%s): %w", rec.Ref, name, err)
 	}
 	return ca, rec, nil
 }

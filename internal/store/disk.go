@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -135,24 +136,48 @@ func (d *Disk) modelDir(tenant, model string) string {
 
 func versionFile(version int) string { return fmt.Sprintf("v%06d.json", version) }
 
-// versionsLocked lists the valid version records of a model, ascending.
-// Callers hold at least the read lock.
-func (d *Disk) versionsLocked(tenant, model string) ([]Record, error) {
-	dir := d.modelDir(tenant, model)
-	entries, err := os.ReadDir(dir)
+// versionFiles lists the model's v%06d.json names with their versions,
+// ascending. A model without a directory has none.
+func (d *Disk) versionFiles(tenant, model string) ([]versionName, error) {
+	entries, err := os.ReadDir(d.modelDir(tenant, model))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var out []Record
+	var out []versionName
 	for _, de := range entries {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, ".json") || !strings.HasPrefix(name, "v") {
 			continue
 		}
-		rec, err := readRecordFile(filepath.Join(dir, name))
+		v, err := strconv.Atoi(name[1 : len(name)-len(".json")])
+		if err != nil || v < 1 {
+			continue
+		}
+		out = append(out, versionName{v, name})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].version < out[j].version })
+	return out, nil
+}
+
+type versionName struct {
+	version int
+	name    string
+}
+
+// versionsLocked lists the valid version records of a model, ascending.
+// Callers hold at least the read lock.
+func (d *Disk) versionsLocked(tenant, model string) ([]Record, error) {
+	files, err := d.versionFiles(tenant, model)
+	if err != nil {
+		return nil, err
+	}
+	dir := d.modelDir(tenant, model)
+	var out []Record
+	for _, f := range files {
+		rec, err := readRecordFile(filepath.Join(dir, f.name))
 		if err != nil {
 			// Concurrently written or damaged after open: skip. Open's
 			// sweep quarantines; here we only refuse to surface it.
@@ -160,8 +185,26 @@ func (d *Disk) versionsLocked(tenant, model string) ([]Record, error) {
 		}
 		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
 	return out, nil
+}
+
+// latestLocked returns the newest valid version record of a model, or
+// ok false when it has none. It reads version files newest first and
+// stops at the first that verifies, skipping damaged files exactly as
+// versionsLocked does, so resolving latest costs one read, not one per
+// version. Callers hold at least the read lock.
+func (d *Disk) latestLocked(tenant, model string) (rec Record, ok bool, err error) {
+	files, err := d.versionFiles(tenant, model)
+	if err != nil {
+		return Record{}, false, err
+	}
+	dir := d.modelDir(tenant, model)
+	for i := len(files) - 1; i >= 0; i-- {
+		if rec, err := readRecordFile(filepath.Join(dir, files[i].name)); err == nil {
+			return rec, true, nil
+		}
+	}
+	return Record{}, false, nil
 }
 
 // Publish implements Store.
@@ -175,19 +218,19 @@ func (d *Disk) Publish(tenant, model string, doc *adl.Document, opts PublishOpti
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	versions, err := d.versionsLocked(tenant, model)
+	prev, ok, err := d.latestLocked(tenant, model)
 	if err != nil {
 		return Record{}, err
 	}
 	latest := 0
-	if n := len(versions); n > 0 {
-		latest = versions[n-1].Version
+	if ok {
+		latest = prev.Version
 	}
 	if err := checkCAS(tenant, model, latest, opts.ExpectedLatest); err != nil {
 		return Record{}, err
 	}
-	if latest > 0 && versions[len(versions)-1].Hash == hash {
-		return versions[len(versions)-1], nil // content dedup
+	if ok && prev.Hash == hash {
+		return prev, nil // content dedup
 	}
 	rec := Record{
 		Ref:       Ref{Tenant: tenant, Model: model, Version: latest + 1},
@@ -274,14 +317,14 @@ func (d *Disk) Get(ref Ref) (Record, error) {
 		}
 		return readRecordFile(path)
 	}
-	versions, err := d.versionsLocked(ref.Tenant, ref.Model)
+	rec, ok, err := d.latestLocked(ref.Tenant, ref.Model)
 	if err != nil {
 		return Record{}, err
 	}
-	if len(versions) == 0 {
+	if !ok {
 		return Record{}, fmt.Errorf("%w: %s", ErrNotFound, ref)
 	}
-	return versions[len(versions)-1], nil
+	return rec, nil
 }
 
 // Versions implements Store.

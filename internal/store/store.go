@@ -17,9 +17,15 @@
 //     one under the same CAS discipline;
 //   - hot reload into compiled form through ArtifactCache, an LRU of
 //     core.CompiledAssembly artifacts keyed by concrete (tenant, model,
-//     version, assembly) — a publish never invalidates a pinned artifact,
-//     so predictions stream against the old version until the new one is
-//     explicitly selected.
+//     version, content hash, assembly) — a publish never invalidates a
+//     pinned artifact, so predictions stream against the old version
+//     until the new one is explicitly selected, and a version number
+//     reused after Delete never serves the deleted content;
+//   - one parse per stored version: the cache key comes from Get's
+//     record metadata, so a cache hit never parses the document (an
+//     empty assembly name is resolved on the first miss and remembered),
+//     and a publish normalizes once, hashing the canonical bytes it
+//     stores.
 //
 // Two backends implement Store: Mem (tests, ephemeral serving) and Disk
 // (JSON-on-disk, one file per version, written atomically so a crash
@@ -27,6 +33,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"regexp"
@@ -170,7 +178,9 @@ func lastIndexByte(s string, b byte) int {
 }
 
 // canonicalize normalizes the document and returns its canonical bytes and
-// content hash — the stored representation.
+// content hash — the stored representation. The hash is the SHA-256 of
+// those bytes, which is adl.Hash(doc) by definition, without a second
+// normalize and marshal.
 func canonicalize(doc *adl.Document) (source []byte, hash string, err error) {
 	norm, err := adl.Normalize(doc)
 	if err != nil {
@@ -180,11 +190,8 @@ func canonicalize(doc *adl.Document) (source []byte, hash string, err error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("store: marshal: %w", err)
 	}
-	hash, err = adl.Hash(norm)
-	if err != nil {
-		return nil, "", fmt.Errorf("store: hash: %w", err)
-	}
-	return source, hash, nil
+	sum := sha256.Sum256(source)
+	return source, hex.EncodeToString(sum[:]), nil
 }
 
 // checkCAS applies the ExpectedLatest compare-and-swap rule given the

@@ -493,3 +493,95 @@ func TestParseRef(t *testing.T) {
 		}
 	}
 }
+
+// TestDiskLatestSkipsDamagedNewest: a newest version file damaged after
+// Open is skipped by latest resolution, so Get falls back to the previous
+// version and Publish takes that version as its CAS base and dedup target.
+func TestDiskLatestSkipsDamagedNewest(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	v1, err := st.Publish("t", "m", testDoc(t, "1e-6"), PublishOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := st.Publish("t", "m", testDoc(t, "2e-6"), PublishOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2path := filepath.Join(dir, "t", "m", versionFile(v2.Version))
+	data, err := os.ReadFile(v2path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(v2path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	latest, err := st.Get(Ref{Tenant: "t", Model: "m"})
+	if err != nil || latest.Version != 1 || latest.Hash != v1.Hash {
+		t.Fatalf("Get latest = v%d (%v), want v1", latest.Version, err)
+	}
+	// Dedup target is v1: republishing its content returns v1.
+	same, err := st.Publish("t", "m", testDoc(t, "1e-6"), PublishOptions{ExpectedLatest: 1})
+	if err != nil || same.Version != 1 {
+		t.Fatalf("dedup publish = v%d (%v), want v1", same.Version, err)
+	}
+	// CAS base is v1: a publish expecting v2 conflicts, one expecting v1
+	// writes v2 over the damaged file.
+	if _, err := st.Publish("t", "m", testDoc(t, "3e-6"), PublishOptions{ExpectedLatest: 2}); !errors.Is(err, ErrVersionConflict) {
+		t.Errorf("publish expecting v2: err = %v, want ErrVersionConflict", err)
+	}
+	next, err := st.Publish("t", "m", testDoc(t, "3e-6"), PublishOptions{ExpectedLatest: 1})
+	if err != nil || next.Version != 2 {
+		t.Fatalf("publish expecting v1 = v%d (%v), want v2", next.Version, err)
+	}
+	if got, err := st.Get(Ref{Tenant: "t", Model: "m"}); err != nil || got.Hash != next.Hash {
+		t.Errorf("Get latest after republish: hash %s (%v), want %s", got.Hash, err, next.Hash)
+	}
+}
+
+// TestCanonicalHashMatchesAdlHash guards the single-normalize publish:
+// canonicalize hashes its canonical bytes directly, and that hash must
+// equal adl.Hash, which readRecordFile verifies disk records against and
+// which earlier publishes were deduplicated by.
+func TestCanonicalHashMatchesAdlHash(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/*.adl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example models (%v)", err)
+	}
+	sources := map[string]string{"testDSL": testDSL}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[p] = string(src)
+	}
+	for i, seed := range adl.DSLSeeds {
+		sources[fmt.Sprintf("DSLSeeds[%d]", i)] = seed
+	}
+	checked := 0
+	for name, src := range sources {
+		doc, err := adl.ParseDSL(src)
+		if err != nil {
+			continue // rejected seeds are never published
+		}
+		_, hash, err := canonicalize(doc)
+		want, werr := adl.Hash(doc)
+		if (err == nil) != (werr == nil) {
+			t.Errorf("%s: canonicalize err = %v, adl.Hash err = %v", name, err, werr)
+			continue
+		}
+		if err == nil && hash != want {
+			t.Errorf("%s: publish hash %s, adl.Hash %s", name, hash, want)
+		}
+		checked++
+	}
+	if checked < 3 {
+		t.Errorf("only %d sources parsed; the check covers too little", checked)
+	}
+}
