@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"socrel/internal/httpapi"
 )
 
 // TestFleetEstimatesEndpoint drives traffic through the fleet, gossips,
@@ -27,7 +29,7 @@ func TestFleetEstimatesEndpoint(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Replicas map[string][]estimateMeta `json:"replicas"`
+		Replicas map[string][]httpapi.EstimateMeta `json:"replicas"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

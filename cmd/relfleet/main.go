@@ -25,6 +25,8 @@
 // every replica's /estimates view converges on the union of the fleet's
 // evidence within bounded gossip rounds.
 //
+// The wire layer is internal/httpapi, shared with relserve.
+//
 // On SIGTERM the fleet drains: admission closes everywhere (503 +
 // Retry-After), in-flight work finishes within -drain-timeout, and each
 // replica prints its final stats line.
@@ -39,26 +41,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"socrel/internal/adl"
-	"socrel/internal/assembly"
 	"socrel/internal/cluster"
 	"socrel/internal/core"
 	"socrel/internal/estimate"
-	"socrel/internal/monitor"
-	socruntime "socrel/internal/runtime"
+	"socrel/internal/httpapi"
 	"socrel/internal/server"
 )
 
@@ -92,11 +86,11 @@ func run(args []string, out io.Writer) error {
 	if *fixedPoint {
 		opts.Cycles = core.CycleFixedPoint
 	}
-	asm, err := loadAssembly(*file, *asmName, *paper)
+	asm, err := adl.LoadAssembly(*file, *asmName, *paper)
 	if err != nil {
 		return err
 	}
-	newEval, sharedCA, mode, err := evaluatorFactory(asm, opts, *service)
+	eng, err := httpapi.NewEngine(asm, opts, *service)
 	if err != nil {
 		return err
 	}
@@ -110,7 +104,7 @@ func run(args []string, out io.Writer) error {
 			Limiter:       server.LimiterConfig{Max: *maxConc, LatencyTarget: *latencyTarget},
 			Hedge:         server.HedgeConfig{Disabled: *noHedge},
 		},
-		NewEvaluator: newEval,
+		NewEvaluator: func(string) server.Evaluator { return eng.Evaluator() },
 		NewEstimator: func(id string) *estimate.Estimator {
 			est, err := estimate.New(estimate.Config{})
 			if err != nil {
@@ -123,213 +117,20 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	f.Start()
+	defer f.Stop()
 
-	fmt.Fprintf(out, "relfleet: serving %q (%s engine) on %s with %d replicas\n", *service, mode, *listen, *replicas)
-	hs := &http.Server{Addr: *listen, Handler: newFleetMux(f, sharedCA)}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.ListenAndServe() }()
-	select {
-	case err := <-serveErr:
-		f.Stop()
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(out, "relfleet: draining")
-	if err := f.Drain(context.Background(), *drainTimeout); err != nil {
-		fmt.Fprintln(out, "relfleet: drain:", err)
-	}
-	for _, n := range f.Live() {
-		st := n.Server().Stats()
-		fmt.Fprintf(out, "relfleet: %s final stats: offered=%d exact=%d stale=%d bounded=%d unavailable=%d shed_draining=%d\n",
-			n.ID(), st.Offered, st.Exact, st.Stale, st.Bounded, st.Unavailable, st.ShedDraining)
-	}
-	f.Stop()
-	shutCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	return hs.Shutdown(shutCtx)
-}
-
-// evaluatorFactory compiles the assembly once when possible — the
-// compiled engine is concurrency-safe, so every replica shares it — with
-// the parametric closed-form layer on top, and otherwise hands each
-// replica its own mutex-serialized interpreter.
-func evaluatorFactory(asm *assembly.Assembly, opts core.Options, service string) (func(id string) server.Evaluator, *core.CompiledAssembly, string, error) {
-	ca, err := core.CompileParametric(asm, opts, core.ParametricOptions{}, service)
-	if err == nil {
-		mode := "compiled"
-		if st := ca.ParametricStats(); st.Outputs > 0 {
-			mode = "parametric"
+	fmt.Fprintf(out, "relfleet: serving %q (%s engine) on %s with %d replicas\n", *service, eng.Mode, *listen, *replicas)
+	return httpapi.ListenAndDrain(&http.Server{Addr: *listen, Handler: newFleetMux(f, eng.Compiled)}, func() {
+		fmt.Fprintln(out, "relfleet: draining")
+		if err := f.Drain(context.Background(), *drainTimeout); err != nil {
+			fmt.Fprintln(out, "relfleet: drain:", err)
 		}
-		return func(string) server.Evaluator { return ca }, ca, mode, nil
-	}
-	if !errors.Is(err, core.ErrNotCompilable) {
-		return nil, nil, "", err
-	}
-	return func(string) server.Evaluator {
-		return &serializedEval{ev: core.New(asm, opts)}
-	}, nil, "interpreted", nil
-}
-
-// serializedEval guards the single-goroutine interpreted evaluator with
-// a mutex, one instance per replica.
-type serializedEval struct {
-	mu sync.Mutex
-	ev *core.Evaluator
-}
-
-func (s *serializedEval) PfailCtx(ctx context.Context, service string, params ...float64) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ev.PfailCtx(ctx, service, params...)
-}
-
-// loadAssembly resolves the -file / -paper flags into an assembly.
-func loadAssembly(file, asmName, paper string) (*assembly.Assembly, error) {
-	switch {
-	case paper != "":
-		p := assembly.DefaultPaperParams()
-		switch paper {
-		case "local":
-			return assembly.LocalAssembly(p)
-		case "remote":
-			return assembly.RemoteAssembly(p)
-		default:
-			return nil, fmt.Errorf("unknown -paper value %q (want local or remote)", paper)
+		for _, n := range f.Live() {
+			st := n.Server().Stats()
+			fmt.Fprintf(out, "relfleet: %s final stats: offered=%d exact=%d stale=%d bounded=%d unavailable=%d shed_draining=%d\n",
+				n.ID(), st.Offered, st.Exact, st.Stale, st.Bounded, st.Unavailable, st.ShedDraining)
 		}
-	case file != "":
-		var data []byte
-		var err error
-		if file == "-" {
-			data, err = io.ReadAll(os.Stdin)
-		} else {
-			data, err = os.ReadFile(file)
-		}
-		if err != nil {
-			return nil, err
-		}
-		var doc *adl.Document
-		if strings.HasPrefix(strings.TrimSpace(string(data)), "{") {
-			doc, err = adl.UnmarshalJSON(data)
-		} else {
-			doc, err = adl.ParseDSL(string(data))
-		}
-		if err != nil {
-			return nil, err
-		}
-		if asmName == "" {
-			names := doc.AssemblyNames()
-			if len(names) != 1 {
-				return nil, fmt.Errorf("document defines assemblies %v; pick one with -assembly", names)
-			}
-			asmName = names[0]
-		}
-		return doc.BuildAssembly(asmName)
-	default:
-		return nil, errors.New("either -file or -paper is required")
-	}
-}
-
-// predictRequest is the wire form of one /predict call. Scope isolates
-// tenants: degraded answers never cross scopes, and the (scope,
-// service, parameter-region) triple is the routing key.
-type predictRequest struct {
-	Service   string    `json:"service,omitempty"`
-	Scope     string    `json:"scope,omitempty"`
-	Params    []float64 `json:"params,omitempty"`
-	Priority  string    `json:"priority,omitempty"`
-	TimeoutMS int64     `json:"timeout_ms,omitempty"`
-}
-
-// predictResponse is the wire form of one answer.
-type predictResponse struct {
-	Kind        string   `json:"kind"`
-	Pfail       float64  `json:"pfail"`
-	Reliability float64  `json:"reliability"`
-	Lo          *float64 `json:"lo,omitempty"`
-	Hi          *float64 `json:"hi,omitempty"`
-	AgeMS       int64    `json:"age_ms,omitempty"`
-	Error       string   `json:"error,omitempty"`
-}
-
-func toResponse(a socruntime.Answer) predictResponse {
-	r := predictResponse{
-		Kind:        a.Kind.String(),
-		Pfail:       a.Pfail,
-		Reliability: a.Reliability(),
-	}
-	if a.Kind == socruntime.Bounded {
-		lo, hi := a.Lo, a.Hi
-		r.Lo, r.Hi = &lo, &hi
-	}
-	if a.Age > 0 {
-		r.AgeMS = a.Age.Milliseconds()
-	}
-	if a.Err != nil {
-		r.Error = a.Err.Error()
-	}
-	return r
-}
-
-func parsePriority(s string) (server.Priority, error) {
-	switch s {
-	case "", "interactive":
-		return server.Interactive, nil
-	case "batch":
-		return server.Batch, nil
-	case "best-effort":
-		return server.BestEffort, nil
-	default:
-		return 0, fmt.Errorf("unknown priority %q (want interactive, batch, or best-effort)", s)
-	}
-}
-
-func statusFor(a socruntime.Answer) int {
-	if a.Kind != socruntime.Unavailable {
-		return http.StatusOK
-	}
-	if errors.Is(a.Err, server.ErrOverloaded) || errors.Is(a.Err, cluster.ErrStopped) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-// estimateMeta is the wire form of one estimation bucket in /estimates.
-type estimateMeta struct {
-	Provider     string  `json:"provider"`
-	Context      string  `json:"context,omitempty"`
-	Load         int     `json:"load,omitempty"`
-	Rate         float64 `json:"rate"`
-	Lo           float64 `json:"lo"`
-	Hi           float64 `json:"hi"`
-	Observations int     `json:"observations"`
-	Failures     int     `json:"failures"`
-	MeanLatencyS float64 `json:"mean_latency_s,omitempty"`
-	Bound        float64 `json:"bound,omitempty"`
-	Drift        string  `json:"drift,omitempty"`
-	Direction    int     `json:"direction,omitempty"`
-}
-
-func toEstimateMeta(b estimate.BucketEstimate) estimateMeta {
-	m := estimateMeta{
-		Provider:     b.Key.Provider,
-		Context:      b.Key.Context,
-		Load:         b.Key.Load,
-		Rate:         b.Estimate.Rate,
-		Lo:           b.Estimate.Lo,
-		Hi:           b.Estimate.Hi,
-		Observations: b.Estimate.Observations,
-		Failures:     b.Estimate.Failures,
-		MeanLatencyS: b.Estimate.MeanLatency,
-		Bound:        b.Bound,
-		Direction:    b.Direction,
-	}
-	if b.Drift != monitor.Verdict(0) {
-		m.Drift = b.Drift.String()
-	}
-	return m
+	})
 }
 
 // memberView is one replica's judgment of the fleet in /cluster.
@@ -337,6 +138,13 @@ type memberView struct {
 	ID        string `json:"id"`
 	State     string `json:"state"`
 	Heartbeat uint64 `json:"heartbeat"`
+}
+
+// replicaView is one replica's entry in /cluster: its membership view
+// and its routing and gossip counters.
+type replicaView struct {
+	Members []memberView `json:"members"`
+	cluster.NodeStats
 }
 
 // newFleetMux builds the HTTP handler over a fleet. Split from run so
@@ -347,28 +155,11 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		req, pri, ok := httpapi.Decode(w, r, server.Interactive)
+		if !ok {
 			return
 		}
-		pri, err := parsePriority(req.Priority)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		ans := f.Serve(r.Context(), server.Request{
-			Service:  req.Service,
-			Scope:    req.Scope,
-			Params:   req.Params,
-			Priority: pri,
-			Timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
-		})
-		status := statusFor(ans)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeJSON(w, status, toResponse(ans))
+		httpapi.WriteAnswer(w, f.Serve(r.Context(), req.Point(pri)))
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -385,7 +176,7 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 			status = http.StatusServiceUnavailable
 			state = "unavailable"
 		}
-		writeJSON(w, status, map[string]any{
+		httpapi.WriteJSON(w, status, map[string]any{
 			"status":    state,
 			"live":      len(live),
 			"accepting": accepting,
@@ -393,46 +184,26 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 	})
 
 	mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, r *http.Request) {
-		views := map[string]any{}
+		views := map[string]replicaView{}
 		for _, n := range f.Live() {
 			members := n.Members()
 			mv := make([]memberView, len(members))
 			for i, m := range members {
 				mv[i] = memberView{ID: m.ID, State: m.State.String(), Heartbeat: m.Heartbeat}
 			}
-			st := n.Stats()
-			views[n.ID()] = map[string]any{
-				"members":          mv,
-				"served_local":     st.ServedLocal,
-				"forwarded":        st.Forwarded,
-				"forward_failed":   st.ForwardFailed,
-				"served_forwarded": st.ServedForwarded,
-				"rumors_sent":      st.RumorsSent,
-				"rumors_received":  st.RumorsReceived,
-				"rumors_skipped":   st.RumorsSkipped,
-			}
+			views[n.ID()] = replicaView{Members: mv, NodeStats: n.Stats()}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"replicas": views})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"replicas": views})
 	})
 
 	mux.HandleFunc("GET /estimates", func(w http.ResponseWriter, r *http.Request) {
-		perReplica := map[string]any{}
+		perReplica := map[string][]httpapi.EstimateMeta{}
 		for _, n := range f.Live() {
-			est := n.Estimator()
-			if est == nil {
-				continue
+			if est := n.Estimator(); est != nil {
+				perReplica[n.ID()] = httpapi.Estimates(est)
 			}
-			all := est.All()
-			buckets := make([]estimateMeta, 0, len(all))
-			for _, b := range all {
-				if !b.OK && b.Estimate.Observations == 0 {
-					continue
-				}
-				buckets = append(buckets, toEstimateMeta(b))
-			}
-			perReplica[n.ID()] = buckets
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"replicas": perReplica})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"replicas": perReplica})
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
@@ -446,29 +217,7 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 			bounded += st.Bounded
 			unavailable += st.Unavailable
 			shed += st.ShedQueueFull + st.ShedClass + st.ShedDeadline + st.SweptExpired + st.ShedDraining
-			rep := map[string]any{
-				"offered":     st.Offered,
-				"exact":       st.Exact,
-				"stale":       st.Stale,
-				"bounded":     st.Bounded,
-				"unavailable": st.Unavailable,
-				"limit":       st.Limit,
-				"inflight":    st.Inflight,
-				"queue_depth": st.QueueDepth,
-				"saturation":  st.Saturation.String(),
-				"draining":    n.Server().Draining(),
-			}
-			if est := n.Estimator(); est != nil {
-				es := est.Stats()
-				rep["estimator"] = map[string]any{
-					"observed":         es.Observed,
-					"keys":             es.Keys,
-					"drift_violations": es.DriftViolations,
-					"merged":           es.Merged,
-					"bad_merges":       es.BadMerges,
-				}
-			}
-			perReplica[n.ID()] = rep
+			perReplica[n.ID()] = httpapi.ServerStats(st, n.Server().Draining(), n.Estimator())
 		}
 		stats := map[string]any{
 			"offered":     offered,
@@ -480,27 +229,10 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 			"replicas":    perReplica,
 		}
 		if ca != nil {
-			ps := ca.ParametricStats()
-			stats["parametric"] = map[string]any{
-				"outputs":           ps.Outputs,
-				"fallbacks":         ps.Fallbacks,
-				"parametric_points": ps.ParametricPoints,
-				"numeric_points":    ps.NumericPoints,
-				"gradient_points":   ps.GradientPoints,
-			}
+			stats["parametric"] = ca.ParametricStats()
 		}
-		writeJSON(w, http.StatusOK, stats)
+		httpapi.WriteJSON(w, http.StatusOK, stats)
 	})
 
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -12,6 +12,7 @@ import (
 	"socrel/internal/cluster"
 	"socrel/internal/core"
 	"socrel/internal/estimate"
+	"socrel/internal/httpapi"
 	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
 )
@@ -24,12 +25,12 @@ func newTestFleet(t *testing.T, replicas int) (*cluster.Fleet, *socruntime.FakeC
 	if err != nil {
 		t.Fatal(err)
 	}
-	newEval, _, mode, err := evaluatorFactory(asm, core.Options{}, "search")
+	eng, err := httpapi.NewEngine(asm, core.Options{}, "search")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode != "parametric" {
-		t.Fatalf("paper assembly should compile parametrically, got %q", mode)
+	if eng.Mode != "parametric" {
+		t.Fatalf("paper assembly should compile parametrically, got %q", eng.Mode)
 	}
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 	f, err := cluster.NewFleet(cluster.FleetConfig{
@@ -41,7 +42,7 @@ func newTestFleet(t *testing.T, replicas int) (*cluster.Fleet, *socruntime.FakeC
 			Clock:          clk,
 		},
 		Server:       server.Config{Service: "search", Hedge: server.HedgeConfig{Disabled: true}},
-		NewEvaluator: newEval,
+		NewEvaluator: func(string) server.Evaluator { return eng.Evaluator() },
 		NewEstimator: func(id string) *estimate.Estimator {
 			est, err := estimate.New(estimate.Config{Clock: clk})
 			if err != nil {

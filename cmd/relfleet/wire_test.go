@@ -1,0 +1,178 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"socrel/internal/assembly"
+	"socrel/internal/cluster"
+	"socrel/internal/core"
+	"socrel/internal/estimate"
+	socruntime "socrel/internal/runtime"
+	"socrel/internal/server"
+)
+
+// keysOf returns the sorted key set of a decoded JSON object.
+func keysOf(t *testing.T, v any) []string {
+	t.Helper()
+	m, ok := v.(map[string]any)
+	if !ok {
+		t.Fatalf("want a JSON object, got %T %v", v, v)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// wantKeys checks that obj has exactly the original wire keys plus the
+// keys added since: keys may be added to the wire format, never removed
+// or renamed.
+func wantKeys(t *testing.T, what string, obj any, original, added []string) {
+	t.Helper()
+	want := append(append([]string{}, original...), added...)
+	sort.Strings(want)
+	if got := keysOf(t, obj); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s keys = %v, want %v", what, got, want)
+	}
+}
+
+// switchEval is an evaluator whose answer the test flips.
+type switchEval struct {
+	mu   sync.Mutex
+	fail bool
+}
+
+func (s *switchEval) PfailCtx(context.Context, string, ...float64) (float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fail {
+		return 0, errors.New("backend down")
+	}
+	return 0.25, nil
+}
+
+func (s *switchEval) setFail(fail bool) {
+	s.mu.Lock()
+	s.fail = fail
+	s.mu.Unlock()
+}
+
+// TestWireFormatKeys pins the JSON key sets relfleet answers with, so
+// moving the wire layer cannot silently drop or rename a key.
+func TestWireFormatKeys(t *testing.T) {
+	clk := socruntime.NewFakeClock(time.Unix(0, 0))
+	eval := &switchEval{}
+	f, err := cluster.NewFleet(cluster.FleetConfig{
+		Replicas:     1,
+		Node:         cluster.NodeConfig{GossipInterval: time.Second, Clock: clk},
+		Server:       server.Config{Service: "search", Hedge: server.HedgeConfig{Disabled: true}},
+		NewEvaluator: func(string) server.Evaluator { return eval },
+		NewEstimator: func(string) *estimate.Estimator {
+			est, err := estimate.New(estimate.Config{Clock: clk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return est
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	asm, err := assembly.LocalAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := core.CompileParametric(asm, core.Options{}, core.ParametricOptions{}, "search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newFleetMux(f, ca))
+	defer ts.Close()
+
+	answer := []string{"kind", "pfail", "reliability"}
+	resp, m := postPredict(t, ts.URL, `{"params":[1]}`)
+	if resp.StatusCode != http.StatusOK || m["kind"] != "exact" {
+		t.Fatalf("exact: %d %v", resp.StatusCode, m)
+	}
+	wantKeys(t, "exact answer", m, answer, nil)
+
+	eval.setFail(true)
+	clk.Advance(3 * time.Second)
+	resp, m = postPredict(t, ts.URL, `{"params":[1]}`)
+	if resp.StatusCode != http.StatusOK || m["kind"] != "stale" {
+		t.Fatalf("stale: %d %v", resp.StatusCode, m)
+	}
+	wantKeys(t, "stale answer", m, append(answer, "age_ms", "error"), nil)
+
+	resp, m = postPredict(t, ts.URL, `{"params":[2]}`)
+	if resp.StatusCode != http.StatusOK || m["kind"] != "bounded" {
+		t.Fatalf("bounded: %d %v", resp.StatusCode, m)
+	}
+	wantKeys(t, "bounded answer", m, append(answer, "lo", "hi", "error"), nil)
+
+	resp, m = postPredict(t, ts.URL, `{"scope":"fresh","params":[3]}`)
+	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
+		t.Fatalf("unavailable: %d %v", resp.StatusCode, m)
+	}
+	wantKeys(t, "unavailable answer", m, append(answer, "error"), nil)
+
+	resp, m = postPredict(t, ts.URL, `{"priority":"urgent"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad priority: %d %v", resp.StatusCode, m)
+	}
+	wantKeys(t, "error body", m, []string{"error"}, nil)
+
+	m = getJSON(t, ts.URL+"/healthz")
+	wantKeys(t, "/healthz", m, []string{"status", "live", "accepting"}, nil)
+
+	m = getJSON(t, ts.URL+"/estimates")
+	wantKeys(t, "/estimates", m, []string{"replicas"}, nil)
+	perReplica := m["replicas"].(map[string]any)
+	buckets := perReplica["replica-0"].([]any)
+	if len(buckets) == 0 {
+		t.Fatal("/estimates: no buckets")
+	}
+	for _, b := range buckets {
+		bucket := []string{"provider", "rate", "lo", "hi", "observations", "failures"}
+		if _, scoped := b.(map[string]any)["context"]; scoped {
+			bucket = append(bucket, "context")
+		}
+		wantKeys(t, "estimate bucket", b, bucket, nil)
+	}
+
+	m = getJSON(t, ts.URL+"/cluster")
+	wantKeys(t, "/cluster", m, []string{"replicas"}, nil)
+	view := m["replicas"].(map[string]any)["replica-0"]
+	wantKeys(t, "/cluster replica", view, []string{
+		"members", "served_local", "forwarded", "forward_failed", "served_forwarded",
+		"rumors_sent", "rumors_received", "rumors_skipped",
+	}, []string{
+		"served_for_dead", "read_repaired", "evidence_merged", "bad_rumors", "estimates_merged", "bad_estimates",
+	})
+	members := view.(map[string]any)["members"].([]any)
+	wantKeys(t, "/cluster member", members[0], []string{"id", "state", "heartbeat"}, nil)
+
+	m = getJSON(t, ts.URL+"/stats")
+	wantKeys(t, "/stats", m, []string{"offered", "exact", "stale", "bounded", "unavailable", "shed", "replicas", "parametric"}, nil)
+	wantKeys(t, "/stats parametric", m["parametric"], []string{"outputs", "fallbacks", "parametric_points", "numeric_points", "gradient_points"}, nil)
+	rep := m["replicas"].(map[string]any)["replica-0"]
+	wantKeys(t, "/stats replica", rep, []string{
+		"offered", "exact", "stale", "bounded", "unavailable", "limit", "inflight",
+		"queue_depth", "saturation", "draining", "estimator",
+	}, []string{
+		"admitted", "shed_queue_full", "shed_class", "shed_deadline", "shed_draining", "swept_expired",
+		"canceled_waiting", "hedges_launched", "hedge_wins", "repaired", "estimated_latency_us", "hedge_delay_us",
+	})
+	wantKeys(t, "/stats replica estimator", rep.(map[string]any)["estimator"], []string{"observed", "keys", "drift_violations", "merged", "bad_merges"}, nil)
+}

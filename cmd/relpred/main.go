@@ -190,20 +190,15 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%w: %w", errModelDefect, err)
 		}
 	case *paper != "":
-		p := assembly.DefaultPaperParams()
-		switch *paper {
-		case "local":
-			asm, err = assembly.LocalAssembly(p)
-		case "remote":
-			asm, err = assembly.RemoteAssembly(p)
-		default:
-			return fmt.Errorf("%w: unknown -paper value %q (want local or remote)", errUsage, *paper)
+		asm, err = assembly.Paper(*paper)
+		if errors.Is(err, assembly.ErrUnknownPaper) {
+			return fmt.Errorf("%w: -paper: %w", errUsage, err)
 		}
 		if err != nil {
 			return err
 		}
 	case *file != "":
-		doc, err := loadDocument(*file)
+		doc, err := adl.Load(*file)
 		if err != nil {
 			return err
 		}
@@ -477,17 +472,14 @@ func emitDOT(out io.Writer, asm *assembly.Assembly, kind, service string, params
 	}
 }
 
-// buildFromDocument resolves the assembly name (requiring -assembly when
-// the document is ambiguous) and builds it.
+// buildFromDocument builds the named assembly; a document with several
+// assemblies and no -assembly is a usage error.
 func buildFromDocument(doc *adl.Document, name string) (*assembly.Assembly, error) {
-	if name == "" {
-		names := doc.AssemblyNames()
-		if len(names) != 1 {
-			return nil, fmt.Errorf("%w: document defines assemblies %v; pick one with -assembly", errUsage, names)
-		}
-		name = names[0]
+	asm, err := doc.BuildAssembly(name)
+	if errors.Is(err, adl.ErrNoSoleAssembly) {
+		return nil, fmt.Errorf("%w: -assembly: %w", errUsage, err)
 	}
-	return doc.BuildAssembly(name)
+	return asm, err
 }
 
 // loadModel resolves -model: an existing file path loads as a document;
@@ -496,7 +488,7 @@ func buildFromDocument(doc *adl.Document, name string) (*assembly.Assembly, erro
 // but does not load is a model defect.
 func loadModel(arg, storeDir string) (*adl.Document, error) {
 	if fi, err := os.Stat(arg); err == nil && !fi.IsDir() {
-		doc, err := loadDocument(arg)
+		doc, err := adl.Load(arg)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %w", errModelDefect, arg, err)
 		}
@@ -535,24 +527,6 @@ func loadModel(arg, storeDir string) (*adl.Document, error) {
 		return nil, fmt.Errorf("%w: %v", errModelDefect, err)
 	}
 	return doc, nil
-}
-
-func loadDocument(path string) (*adl.Document, error) {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		return adl.UnmarshalJSON(data)
-	}
-	return adl.ParseDSL(string(data))
 }
 
 func parseParams(s string) ([]float64, error) {

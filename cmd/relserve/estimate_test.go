@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"socrel/internal/estimate"
+	"socrel/internal/httpapi"
 	"socrel/internal/server"
 )
 
@@ -52,7 +53,7 @@ func TestEstimatesEndpoint(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Estimates []estimateMeta `json:"estimates"`
+		Estimates []httpapi.EstimateMeta `json:"estimates"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"socrel/internal/adl"
 	"socrel/internal/core"
+	"socrel/internal/estimate"
 	"socrel/internal/query"
 	"socrel/internal/server"
 	"socrel/internal/store"
@@ -157,8 +159,8 @@ func TestModelCRUDAndPredict(t *testing.T) {
 
 	// A store-only server rejects bare /predict.
 	resp, m = doReq(t, "POST", ts.URL+"/predict", `{"params":[4096]}`)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("bare predict: want 500, got %d %v", resp.StatusCode, m)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("bare predict: want 404, got %d %v", resp.StatusCode, m)
 	}
 
 	// Unknown refs and bad refs classify.
@@ -294,5 +296,55 @@ func TestBuilderVariantParity(t *testing.T) {
 	want := 1 - rel
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("variant over HTTP %.15g vs hand-wired %.15g (diff %g)", got, want, math.Abs(got-want))
+	}
+}
+
+// TestPublishOversizeRejected: a model body past the 4 MiB limit is
+// refused whole with 413; nothing is published. A body cut at the limit
+// could still parse, silently dropping everything after the cut.
+func TestPublishOversizeRejected(t *testing.T) {
+	ts, host := newStoreServer(store.NewMem())
+	defer ts.Close()
+
+	var body strings.Builder
+	body.WriteString(storeDSL)
+	pad := "# " + strings.Repeat("x", 1021) + "\n"
+	for body.Len() < 4<<20 {
+		body.WriteString(pad)
+	}
+	body.WriteString("assembly alt {\n    bind search.cpu -> cpu2\n}\n")
+
+	resp, m := doReq(t, "PUT", ts.URL+"/models/acme/big", body.String())
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize publish: want 413, got %d %v", resp.StatusCode, m)
+	}
+	if _, err := host.st.Get(store.Ref{Tenant: "acme", Model: "big"}); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("oversize publish stored something: err = %v", err)
+	}
+}
+
+// TestStoreOnlyBarePredict404: on a server without a default model, bare
+// /predict and /predict/batch are refused before admission, so they
+// never count as offered load or as provider failures in the estimator.
+func TestStoreOnlyBarePredict404(t *testing.T) {
+	est, err := estimate.New(estimate.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(&dispatchEval{}, server.Config{Service: "search", OnOutcome: estimateFeed(est)})
+	ts := httptest.NewServer(newMux(srv, newModelHost(store.NewMem(), 8, core.Options{}), est, nil))
+	defer ts.Close()
+
+	for _, path := range []string{"/predict", "/predict/batch"} {
+		resp, m := doReq(t, "POST", ts.URL+path, `{"params":[4096],"param_sets":[[4096]]}`)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("bare %s: want 404, got %d %v", path, resp.StatusCode, m)
+		}
+	}
+	if n := est.Stats().Observed; n != 0 {
+		t.Fatalf("estimator observed %d outcomes from rejected requests, want 0", n)
+	}
+	if n := srv.Stats().Offered; n != 0 {
+		t.Fatalf("server offered %d rejected requests, want 0", n)
 	}
 }

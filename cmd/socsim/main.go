@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"socrel/internal/adl"
-	"socrel/internal/assembly"
 	"socrel/internal/core"
 	"socrel/internal/perf"
 	"socrel/internal/sim"
@@ -48,40 +47,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var asm *assembly.Assembly
-	switch {
-	case *paper != "":
-		p := assembly.DefaultPaperParams()
-		switch *paper {
-		case "local":
-			asm, err = assembly.LocalAssembly(p)
-		case "remote":
-			asm, err = assembly.RemoteAssembly(p)
-		default:
-			return fmt.Errorf("unknown -paper value %q (want local or remote)", *paper)
-		}
-		if err != nil {
-			return err
-		}
-	case *file != "":
-		doc, err := loadDocument(*file)
-		if err != nil {
-			return err
-		}
-		name := *asmName
-		if name == "" {
-			names := doc.AssemblyNames()
-			if len(names) != 1 {
-				return fmt.Errorf("document defines assemblies %v; pick one with -assembly", names)
-			}
-			name = names[0]
-		}
-		asm, err = doc.BuildAssembly(name)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("either -file or -paper is required")
+	asm, err := adl.LoadAssembly(*file, *asmName, *paper)
+	if err != nil {
+		return err
 	}
 
 	analytic, err := core.New(asm, core.Options{}).Reliability(*service, params...)
@@ -124,23 +92,6 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  simulated mean       : %.6g s  (%d successful runs)\n", te.Mean, te.Successes)
 	_, err = fmt.Fprintf(out, "  P50 / P95 / P99      : %.6g / %.6g / %.6g s\n", te.P50, te.P95, te.P99)
 	return err
-}
-
-func loadDocument(path string) (*adl.Document, error) {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasPrefix(strings.TrimSpace(string(data)), "{") {
-		return adl.UnmarshalJSON(data)
-	}
-	return adl.ParseDSL(string(data))
 }
 
 func parseParams(s string) ([]float64, error) {

@@ -110,6 +110,49 @@ func TestBuildAssemblyUnknown(t *testing.T) {
 	}
 }
 
+// TestParseSniffsSyntaxAndSoleAssembly: Parse reads both syntaxes of one
+// document, and the empty assembly name resolves only when the document
+// defines exactly one assembly.
+func TestParseSniffsSyntaxAndSoleAssembly(t *testing.T) {
+	two, err := ParseDSL(paperDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := MarshalJSON(two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{paperDSL, "\n\t " + string(js)} {
+		doc, err := Parse([]byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := doc.AssemblyNames(); len(got) != 2 {
+			t.Fatalf("Parse: assemblies = %v, want local and remote", got)
+		}
+	}
+
+	if name, err := two.AssemblyName("remote"); err != nil || name != "remote" {
+		t.Errorf(`AssemblyName("remote") = %q, %v`, name, err)
+	}
+	if _, err := two.AssemblyName(""); !errors.Is(err, ErrNoSoleAssembly) {
+		t.Errorf("two assemblies, empty name: err = %v, want ErrNoSoleAssembly", err)
+	}
+	if _, err := two.BuildAssembly(""); !errors.Is(err, ErrNoSoleAssembly) {
+		t.Errorf("BuildAssembly(\"\") on two assemblies: err = %v, want ErrNoSoleAssembly", err)
+	}
+	one := &Document{Services: two.Services, Assemblies: two.Assemblies[1:]}
+	if name, err := one.AssemblyName(""); err != nil || name != "remote" {
+		t.Errorf("sole assembly: AssemblyName(\"\") = %q, %v; want remote", name, err)
+	}
+	if asm, err := one.BuildAssembly(""); err != nil || asm.Name() != "remote" {
+		t.Errorf("sole assembly: BuildAssembly(\"\") = %v, %v", asm, err)
+	}
+	if _, err := (&Document{}).AssemblyName(""); !errors.Is(err, ErrNoSoleAssembly) {
+		t.Errorf("no assemblies: err = %v, want ErrNoSoleAssembly", err)
+	}
+}
+
 func TestParseSimpleKinds(t *testing.T) {
 	src := `
 service loc perfect(ip, op)

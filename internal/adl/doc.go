@@ -7,6 +7,9 @@
 //   - a JSON codec (MarshalJSON / UnmarshalJSON helpers on Document) for
 //     tooling.
 //
+// Parse and Load accept either syntax, telling them apart by the first
+// non-space byte.
+//
 // A Document carries service definitions (with their usage-profile flows,
 // failure laws and parameter-dependency expressions, all serialized as
 // expression source text) and named assemblies (binding sets). Documents
@@ -63,6 +66,7 @@
 package adl
 
 import (
+	"errors"
 	"fmt"
 
 	"socrel/internal/assembly"
@@ -99,8 +103,13 @@ func (d *Document) Service(name string) (model.Service, bool) {
 // any role of an included composite that resolves directly by service
 // name), plus the assembly's bindings, validated. Services of the document
 // that only belong to other assemblies (e.g. the RPC connector in the
-// paper's local assembly) are excluded.
+// paper's local assembly) are excluded. An empty name selects the
+// document's sole assembly (see AssemblyName).
 func (d *Document) BuildAssembly(name string) (*assembly.Assembly, error) {
+	name, err := d.AssemblyName(name)
+	if err != nil {
+		return nil, err
+	}
 	var def *AssemblyDef
 	for i := range d.Assemblies {
 		if d.Assemblies[i].Name == name {
@@ -167,6 +176,23 @@ func hasBinding(bindings []assembly.Binding, caller, role string) bool {
 		}
 	}
 	return false
+}
+
+// ErrNoSoleAssembly reports an empty assembly name on a document that
+// does not define exactly one assembly.
+var ErrNoSoleAssembly = errors.New("adl: no sole assembly")
+
+// AssemblyName resolves an assembly request: a non-empty name is returned
+// unchanged, and the empty name selects the document's sole assembly,
+// failing with ErrNoSoleAssembly when it defines none or several.
+func (d *Document) AssemblyName(name string) (string, error) {
+	if name != "" {
+		return name, nil
+	}
+	if len(d.Assemblies) != 1 {
+		return "", fmt.Errorf("%w: document defines assemblies %v; pick one", ErrNoSoleAssembly, d.AssemblyNames())
+	}
+	return d.Assemblies[0].Name, nil
 }
 
 // AssemblyNames returns the declared assembly names in order.

@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -127,6 +128,22 @@ func newSort(name string, phi float64) (*model.Composite, error) {
 		return nil, err
 	}
 	return sort, nil
+}
+
+// ErrUnknownPaper reports a paper example name other than "local" or
+// "remote".
+var ErrUnknownPaper = errors.New("unknown paper assembly")
+
+// Paper builds the paper's example assembly named "local" (Figure 3) or
+// "remote" (Figure 4) with DefaultPaperParams.
+func Paper(name string) (*Assembly, error) {
+	switch name {
+	case "local":
+		return LocalAssembly(DefaultPaperParams())
+	case "remote":
+		return RemoteAssembly(DefaultPaperParams())
+	}
+	return nil, fmt.Errorf("%w %q (want local or remote)", ErrUnknownPaper, name)
 }
 
 // LocalAssembly builds the local assembly of Figure 3: search and sort1 on

@@ -79,36 +79,36 @@ func (c NodeConfig) withDefaults() NodeConfig {
 type NodeStats struct {
 	// ServedLocal counts requests this replica owned (or that had no
 	// owner because the ring was empty) and served directly.
-	ServedLocal uint64
+	ServedLocal uint64 `json:"served_local"`
 	// Forwarded counts requests handed to their owner, one hop.
-	Forwarded uint64
+	Forwarded uint64 `json:"forwarded"`
 	// ForwardFailed counts forwards that failed (peer unreachable or
 	// stopped) and fell back to serving locally.
-	ForwardFailed uint64
+	ForwardFailed uint64 `json:"forward_failed"`
 	// ServedForDead counts requests whose ring owner was marked Dead, so
 	// this replica served them itself rather than forwarding into a hole.
-	ServedForDead uint64
+	ServedForDead uint64 `json:"served_for_dead"`
 	// ServedForwarded counts requests received from a peer's forward.
-	ServedForwarded uint64
+	ServedForwarded uint64 `json:"served_forwarded"`
 	// ReadRepaired counts forwarded answers whose fresher snapshot was
 	// pushed back into this replica's own stale store, so a later
 	// partition finds the entry already warm here.
-	ReadRepaired uint64
+	ReadRepaired uint64 `json:"read_repaired"`
 	// RumorsSent and RumorsReceived count gossip traffic.
-	RumorsSent     uint64
-	RumorsReceived uint64
+	RumorsSent     uint64 `json:"rumors_sent"`
+	RumorsReceived uint64 `json:"rumors_received"`
 	// RumorsSkipped counts received rumors whose version vector the
 	// local one already dominated — no merge needed.
-	RumorsSkipped uint64
+	RumorsSkipped uint64 `json:"rumors_skipped"`
 	// EvidenceMerged counts rumors actually folded into the tracker.
-	EvidenceMerged uint64
+	EvidenceMerged uint64 `json:"evidence_merged"`
 	// BadRumors counts rumors whose evidence failed validation.
-	BadRumors uint64
+	BadRumors uint64 `json:"bad_rumors"`
 	// EstimatesMerged counts rumors whose estimator checkpoint was folded
 	// into the local estimator; BadEstimates counts rumors where that
 	// merge rejected at least one snapshot.
-	EstimatesMerged uint64
-	BadEstimates    uint64
+	EstimatesMerged uint64 `json:"estimates_merged"`
+	BadEstimates    uint64 `json:"bad_estimates"`
 }
 
 // Node is one replica: an embedded serving tier (admission control,

@@ -128,11 +128,11 @@ func (po *parametricOutput) ensureGrads() {
 // compiled output means runtime fallback (an evaluation error in the closed
 // form, re-derived numerically for exact error attribution).
 type ParametricStats struct {
-	Outputs          int    // root services with a compiled closed form
-	Fallbacks        int    // root services that fell back at compile time
-	ParametricPoints uint64 // points served by closed-form evaluation
-	NumericPoints    uint64 // points served by the numeric kernel
-	GradientPoints   uint64 // gradient evaluations served from compiled derivatives
+	Outputs          int    `json:"outputs"`           // root services with a compiled closed form
+	Fallbacks        int    `json:"fallbacks"`         // root services that fell back at compile time
+	ParametricPoints uint64 `json:"parametric_points"` // points served by closed-form evaluation
+	NumericPoints    uint64 `json:"numeric_points"`    // points served by the numeric kernel
+	GradientPoints   uint64 `json:"gradient_points"`   // gradient evaluations served from compiled derivatives
 }
 
 // ParametricStats returns the parametric layer's counters. Safe for

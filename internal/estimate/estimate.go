@@ -217,14 +217,14 @@ type entry struct {
 // Stats are monotonic estimator counters.
 type Stats struct {
 	// Observed counts ingested outcomes; Keys is the live bucket count.
-	Observed uint64
-	Keys     int
+	Observed uint64 `json:"observed"`
+	Keys     int    `json:"keys"`
 	// DriftViolations counts drift-verdict trips (local or merged).
-	DriftViolations uint64
+	DriftViolations uint64 `json:"drift_violations"`
 	// Merged counts snapshots folded in via MergeCheckpoint; BadMerges
 	// counts snapshots rejected as invalid.
-	Merged    uint64
-	BadMerges uint64
+	Merged    uint64 `json:"merged"`
+	BadMerges uint64 `json:"bad_merges"`
 }
 
 // Estimator fits per-bucket failure rates from an outcome stream.

@@ -16,14 +16,11 @@ func resolve(rec Record, assemblyName string) (*adl.Document, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	if assemblyName == "" {
-		names := doc.AssemblyNames()
-		if len(names) != 1 {
-			return nil, "", fmt.Errorf("store: %s defines assemblies %v; pick one", rec.Ref, names)
-		}
-		assemblyName = names[0]
+	name, err := doc.AssemblyName(assemblyName)
+	if err != nil {
+		return nil, "", fmt.Errorf("store: %s: %w", rec.Ref, err)
 	}
-	return doc, assemblyName, nil
+	return doc, name, nil
 }
 
 // ArtifactCache is an LRU of compiled assemblies keyed by concrete
@@ -77,8 +74,10 @@ type artifactEntry struct {
 
 // CacheStats is a snapshot of the cache counters.
 type CacheStats struct {
-	Hits, Misses, Evictions uint64
-	Entries                 int
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
 }
 
 // NewArtifactCache returns a cache holding at most capacity compiled
