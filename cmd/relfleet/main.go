@@ -1,9 +1,10 @@
 // Command relfleet serves reliability predictions from a replicated
 // fleet of in-process serving replicas: consistent-hash routing of
 // (scope, service, parameter-region) keys with at-most-one-hop
-// forwarding, health-evidence gossip so a provider tripped by SPRT on
-// one replica quarantines fleet-wide, and per-replica admission control
-// with the graceful-degradation ladder. Killing a replica (or losing it
+// forwarding, gossip of each replica's failure-parameter estimator so a
+// provider whose failure rate drifts up on one replica quarantines
+// fleet-wide, and per-replica admission control with the
+// graceful-degradation ladder. Killing a replica (or losing it
 // to a partition, with a fault-injected transport) rebalances its keys
 // to the survivors without dropping the fleet.
 //
@@ -21,9 +22,9 @@
 //	GET  /estimates per-replica fitted failure rates — convergent fleet-wide via gossip
 //
 // Each replica runs an online failure-parameter estimator fed by its own
-// served evaluations; estimator snapshots ride the health gossip, so
-// every replica's /estimates view converges on the union of the fleet's
-// evidence within bounded gossip rounds.
+// served evaluations; estimator snapshots are what the gossip carries,
+// so every replica's /estimates view converges on the union of the
+// fleet's evidence within bounded gossip rounds.
 //
 // The wire layer is internal/httpapi, shared with relserve.
 //
@@ -51,7 +52,6 @@ import (
 	"socrel/internal/adl"
 	"socrel/internal/cluster"
 	"socrel/internal/core"
-	"socrel/internal/estimate"
 	"socrel/internal/httpapi"
 	"socrel/internal/server"
 )
@@ -105,13 +105,6 @@ func run(args []string, out io.Writer) error {
 			Hedge:         server.HedgeConfig{Disabled: *noHedge},
 		},
 		NewEvaluator: func(string) server.Evaluator { return eng.Evaluator() },
-		NewEstimator: func(id string) *estimate.Estimator {
-			est, err := estimate.New(estimate.Config{})
-			if err != nil {
-				panic(err) // default config never fails validation
-			}
-			return est
-		},
 	})
 	if err != nil {
 		return err
@@ -199,9 +192,7 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 	mux.HandleFunc("GET /estimates", func(w http.ResponseWriter, r *http.Request) {
 		perReplica := map[string][]httpapi.EstimateMeta{}
 		for _, n := range f.Live() {
-			if est := n.Estimator(); est != nil {
-				perReplica[n.ID()] = httpapi.Estimates(est)
-			}
+			perReplica[n.ID()] = httpapi.Estimates(n.Estimator())
 		}
 		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"replicas": perReplica})
 	})

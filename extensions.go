@@ -323,15 +323,15 @@ func NewServer(eval ServerEvaluator, cfg ServerConfig) *Server {
 
 // Distributed serving tier (cmd/relfleet is the HTTP front end): a
 // replicated fleet sharing one logical registry view via consistent-hash
-// routing and health-evidence gossip (DESIGN.md §13).
+// routing and estimator-checkpoint gossip (DESIGN.md §13).
 type (
 	// Fleet is a set of replicas with round-robin entry, deterministic
 	// gossip driving, and chaos controls (Kill, AddReplica).
 	Fleet = cluster.Fleet
 	// FleetConfig parameterizes a Fleet.
 	FleetConfig = cluster.FleetConfig
-	// ClusterNode is one replica: an embedded serving tier plus health
-	// tracker, joined to peers by routing and gossip.
+	// ClusterNode is one replica: an embedded serving tier plus
+	// failure-parameter estimator, joined to peers by routing and gossip.
 	ClusterNode = cluster.Node
 	// ClusterNodeConfig parameterizes one replica.
 	ClusterNodeConfig = cluster.NodeConfig
@@ -380,9 +380,6 @@ var (
 	// ErrDrainTimeout reports a drain deadline that expired with work
 	// still in flight.
 	ErrDrainTimeout = server.ErrDrainTimeout
-	// ErrPeerEvidence tags a breaker trip caused by merged peer
-	// evidence rather than local observations.
-	ErrPeerEvidence = socruntime.ErrPeerEvidence
 )
 
 // NewFleet builds and registers a replicated serving fleet.
@@ -402,7 +399,3 @@ func ClusterRouteKey(scope, service string, params []float64) string {
 func NewNetworkFaults(cfg NetworkFaultsConfig) *NetworkFaults {
 	return faultinject.NewNetwork(cfg)
 }
-
-// MergeSnapshots joins two monitor snapshots for the same provider:
-// commutative, associative, idempotent — the gossip merge primitive.
-func MergeSnapshots(a, b MonitorSnapshot) (MonitorSnapshot, error) { return a.Merge(b) }

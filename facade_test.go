@@ -412,15 +412,17 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatalf("fleet answer %+v, want exact 0.125", ans)
 	}
 
-	// Quarantine spreads by gossip through the facade types.
+	// Quarantine (upward drift) spreads by gossip through the facade
+	// types.
+	k := socrel.EstimateKey{Provider: "prov"}
 	for _, n := range f.Nodes() {
-		if err := n.Watch("prov", 0.99); err != nil {
+		if err := n.Estimator().SetBound(k, 0.01); err != nil {
 			t.Fatal(err)
 		}
 	}
 	n0 := f.Node("replica-0")
 	for i := 0; i < 200 && !n0.Quarantined("prov"); i++ {
-		n0.Observe("prov", false)
+		n0.ObserveEstimate(socrel.EstimateOutcome{Provider: "prov", Failed: true})
 	}
 	f.GossipRound()
 	if !f.Quarantined("prov") {
@@ -444,8 +446,8 @@ func TestFacadeCluster(t *testing.T) {
 	}
 
 	// Snapshot merge through the facade is idempotent.
-	snap := n0.Tracker().Checkpoint()["prov"]
-	merged, err := socrel.MergeSnapshots(snap, snap)
+	snap := n0.Estimator().Checkpoint()[k.String()]
+	merged, err := socrel.MergeEstimateSnapshots(snap, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"socrel/internal/cluster"
+	"socrel/internal/estimate"
 	"socrel/internal/faultinject"
 	"socrel/internal/monitor"
 	socruntime "socrel/internal/runtime"
@@ -45,34 +46,47 @@ func newTestFleet(t *testing.T, replicas int, net *faultinject.Network, clk socr
 	return f
 }
 
-// watchAll registers a provider on every replica's monitor.
-func watchAll(t *testing.T, f *cluster.Fleet, provider string, predicted float64) {
+// watchAll binds the provider's failure rate on every replica's
+// estimator — the rate the live model assumes, which the bucket's drift
+// test checks observations against.
+func watchAll(t *testing.T, f *cluster.Fleet, provider string, rate float64) {
 	t.Helper()
 	for _, n := range f.Nodes() {
-		if err := n.Watch(provider, predicted); err != nil {
+		if err := n.Estimator().SetBound(estimate.Key{Provider: provider}, rate); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// tripNode feeds one replica failures until its local SPRT trips.
+// driveToViolating feeds one replica a constant outcome stream for the
+// provider until its estimator's drift test trips (or 200 outcomes).
+func driveToViolating(n *cluster.Node, provider string, failed bool) {
+	k := estimate.Key{Provider: provider}
+	for i := 0; i < 200; i++ {
+		if v, _ := n.Estimator().Verdict(k); v == monitor.Violating {
+			return
+		}
+		n.ObserveEstimate(estimate.Outcome{Provider: provider, Failed: failed})
+	}
+}
+
+// tripNode feeds one replica failures until its estimator's drift test
+// for the provider trips.
 func tripNode(t *testing.T, n *cluster.Node, provider string) {
 	t.Helper()
-	for i := 0; i < 200 && n.Tracker().Verdict(provider) != monitor.Violating; i++ {
-		n.Observe(provider, false)
-	}
+	driveToViolating(n, provider, true)
 	if !n.Quarantined(provider) {
 		t.Fatalf("%s never quarantined %s under a pure-failure stream", n.ID(), provider)
 	}
 }
 
-// TestFleetQuarantineConverges: a provider tripped by SPRT on one
-// replica is quarantined fleet-wide within bounded gossip rounds — here
-// a single full-fanout push round.
+// TestFleetQuarantineConverges: a provider whose failure rate drifts up
+// on one replica is quarantined fleet-wide within bounded gossip rounds
+// — here a single full-fanout push round.
 func TestFleetQuarantineConverges(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 	f := newTestFleet(t, 3, nil, clk)
-	watchAll(t, f, "prov", 0.99)
+	watchAll(t, f, "prov", 0.01)
 	tripNode(t, f.Node("replica-0"), "prov")
 
 	if f.Node("replica-2").Quarantined("prov") {
@@ -84,24 +98,49 @@ func TestFleetQuarantineConverges(t *testing.T) {
 	}
 }
 
+// TestDownwardDriftNeverQuarantines: a provider that got *better* than
+// its bound trips its drift test downward. The verdict gossips like any
+// other, but no replica reads it as a quarantine.
+func TestDownwardDriftNeverQuarantines(t *testing.T) {
+	clk := socruntime.NewFakeClock(time.Unix(0, 0))
+	f := newTestFleet(t, 3, nil, clk)
+	watchAll(t, f, "prov", 0.5)
+	n0 := f.Node("replica-0")
+	k := estimate.Key{Provider: "prov"}
+	driveToViolating(n0, "prov", false)
+	if v, dir := n0.Estimator().Verdict(k); v != monitor.Violating || dir != -1 {
+		t.Fatalf("a pure-success stream gave verdict %v dir %d, want violating -1", v, dir)
+	}
+	f.GossipRound()
+	for _, n := range f.Nodes() {
+		if v, dir := n.Estimator().Verdict(k); v != monitor.Violating || dir != -1 {
+			t.Fatalf("%s did not adopt the downward verdict: %v dir %d", n.ID(), v, dir)
+		}
+		if n.Quarantined("prov") {
+			t.Fatalf("%s quarantined a provider that drifted down", n.ID())
+		}
+	}
+}
+
 // TestGossipIdempotentRedelivery: once converged, further rounds are
 // version-vector skips — evidence totals never double-count.
 func TestGossipIdempotentRedelivery(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 	f := newTestFleet(t, 3, nil, clk)
-	watchAll(t, f, "prov", 0.99)
+	watchAll(t, f, "prov", 0.01)
 	tripNode(t, f.Node("replica-0"), "prov")
 	f.GossipRound()
 
+	key := estimate.Key{Provider: "prov"}.String()
 	totals := make(map[string]int)
 	for _, n := range f.Nodes() {
-		totals[n.ID()] = n.Tracker().Checkpoint()["prov"].Total
+		totals[n.ID()] = n.Estimator().Checkpoint()[key].Total
 	}
 	for i := 0; i < 3; i++ {
 		f.GossipRound()
 	}
 	for _, n := range f.Nodes() {
-		if got := n.Tracker().Checkpoint()["prov"].Total; got != totals[n.ID()] {
+		if got := n.Estimator().Checkpoint()[key].Total; got != totals[n.ID()] {
 			t.Fatalf("%s evidence total changed across re-deliveries: %d -> %d", n.ID(), totals[n.ID()], got)
 		}
 	}
@@ -264,7 +303,7 @@ func TestPartitionBlocksThenHealsConvergence(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 	net := faultinject.NewNetwork(faultinject.NetConfig{Seed: 7})
 	f := newTestFleet(t, 3, net, clk)
-	watchAll(t, f, "prov", 0.99)
+	watchAll(t, f, "prov", 0.01)
 
 	net.Partition([]string{"replica-0", "replica-1"})
 	tripNode(t, f.Node("replica-0"), "prov")

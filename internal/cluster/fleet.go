@@ -26,19 +26,17 @@ type FleetConfig struct {
 	// Server is the per-replica serving-tier template; its Clock is
 	// forced to the fleet clock.
 	Server server.Config
-	// Health is the per-replica tracker template; its breaker clock
-	// defaults to the fleet clock.
-	Health socruntime.HealthConfig
 	// NewEvaluator builds each replica's evaluator. Required. It may
 	// return a shared evaluator if that evaluator is concurrency-safe.
 	NewEvaluator func(id string) server.Evaluator
-	// NewEstimator, when set, builds each replica's failure-parameter
-	// estimator. The fleet attaches it to the node (so its snapshots ride
-	// gossip and peer snapshots merge in) and chains the replica server's
-	// OnOutcome hook to feed it: every evaluation outcome is observed
-	// under bucket (provider = target service, context = request scope).
-	// Richer feeds — supervisor outcome events carrying real provider
-	// identities — call Node.ObserveEstimate directly.
+	// NewEstimator builds each replica's failure-parameter estimator;
+	// nil means a default estimator on the replica's clock. The fleet
+	// gives it to the node (so its snapshots ride gossip and peer
+	// snapshots merge in) and chains the replica server's OnOutcome hook
+	// to feed it: every evaluation outcome is observed under bucket
+	// (provider = target service, context = request scope). Richer feeds
+	// — supervisor outcome events carrying real provider identities —
+	// call Node.ObserveEstimate directly.
 	NewEstimator func(id string) *estimate.Estimator
 	// Network, when set, carries all inter-replica traffic so tests can
 	// partition, drop, duplicate, and reorder it.
@@ -83,9 +81,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		cfg.Replicas = 3
 	}
 	cfg.Node = cfg.Node.withDefaults()
-	if cfg.Health.Breaker.Clock == nil {
-		cfg.Health.Breaker.Clock = cfg.Node.Clock
-	}
 	cfg.Server.Clock = cfg.Node.Clock
 
 	f := &Fleet{
@@ -127,35 +122,36 @@ func (f *Fleet) buildNode(id string, seeds []string, seedOffset int64, genBase u
 	var est *estimate.Estimator
 	if f.cfg.NewEstimator != nil {
 		est = f.cfg.NewEstimator(id)
+	} else {
+		var err error
+		if est, err = estimate.New(estimate.Config{Clock: ncfg.Clock}); err != nil {
+			return nil, err
+		}
 	}
-	if est != nil {
-		// Chain rather than replace: the caller's hook still fires, and
-		// the estimator sees every completed evaluation. Latency
-		// quantization gives per-load buckets, so a provider that only
-		// degrades when slow is estimated apart from its healthy traffic.
-		lq := estimate.DefaultLatencyQuantizer()
-		inner := scfg.OnOutcome
-		scfg.OnOutcome = func(o server.Outcome) {
-			est.Observe(estimate.Outcome{
-				Provider: o.Service,
-				Context:  o.Scope,
-				Load:     lq.Bucket(o.Latency),
-				Failed:   !o.Success,
-				Latency:  o.Latency,
-				At:       o.At,
-			})
-			if inner != nil {
-				inner(o)
-			}
+	// Chain rather than replace: the caller's hook still fires, and the
+	// estimator sees every completed evaluation. Latency quantization
+	// gives per-load buckets, so a provider that only degrades when slow
+	// is estimated apart from its healthy traffic.
+	lq := estimate.DefaultLatencyQuantizer()
+	inner := scfg.OnOutcome
+	scfg.OnOutcome = func(o server.Outcome) {
+		est.Observe(estimate.Outcome{
+			Provider: o.Service,
+			Context:  o.Scope,
+			Load:     lq.Bucket(o.Latency),
+			Failed:   !o.Success,
+			Latency:  o.Latency,
+			At:       o.At,
+		})
+		if inner != nil {
+			inner(o)
 		}
 	}
 	srv := server.New(f.cfg.NewEvaluator(id), scfg)
-	tracker := socruntime.NewHealthTracker(f.cfg.Health)
-	n, err := NewNode(ncfg, srv, tracker, f.transport)
+	n, err := NewNode(ncfg, srv, est, f.transport)
 	if err != nil {
 		return nil, err
 	}
-	n.AttachEstimator(est)
 	f.transport.Register(n)
 	return n, nil
 }
@@ -304,9 +300,9 @@ func (f *Fleet) AddReplica() (*Node, error) {
 	return f.addNodeLocked(id, seeds, int64(len(f.nodes)))
 }
 
-// Quarantined reports whether every live replica has the provider
-// quarantined — the fleet-wide convergence predicate the chaos soak
-// asserts after a heal.
+// Quarantined reports whether every live replica holds the provider
+// drifting up (Node.Quarantined) — the fleet-wide convergence predicate
+// the chaos soak asserts after a heal.
 func (f *Fleet) Quarantined(provider string) bool {
 	live := f.Live()
 	if len(live) == 0 {

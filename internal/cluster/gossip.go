@@ -1,20 +1,17 @@
 package cluster
 
-import (
-	"socrel/internal/estimate"
-	"socrel/internal/monitor"
-)
+import "socrel/internal/estimate"
 
 // Rumor is one anti-entropy gossip message: the sender's full view of
-// fleet liveness and provider-health evidence. The evidence payload is
-// the existing monitor checkpoint map — the wire format PR 3 built for
-// process restarts turns out to be exactly the merge unit a fleet needs.
+// fleet liveness and its failure-parameter evidence. The evidence
+// payload is the estimator checkpoint, which also carries each bucket's
+// drift verdict — and so, as upward drift, every quarantine.
 //
 // Full-state push gossip keeps the protocol trivially idempotent: a
-// receiver folds the whole rumor in with Snapshot.Merge (a semilattice
-// join), so dropped, duplicated, delayed, or reordered rumors all
-// converge to the same state. The version vector exists purely to skip
-// redundant merges, not for correctness.
+// receiver folds the whole rumor in with estimate.Snapshot.Merge (a
+// semilattice join), so dropped, duplicated, delayed, or reordered
+// rumors all converge to the same state. The version vector exists
+// purely to skip redundant merges, not for correctness.
 type Rumor struct {
 	// From is the sending replica.
 	From string
@@ -25,19 +22,15 @@ type Rumor struct {
 	// replica that cannot reach another directly still learns it is
 	// alive through a common peer.
 	Heartbeats map[string]uint64
-	// Evidence is the sender's merged provider-health checkpoint.
-	Evidence map[string]monitor.Snapshot
 	// EvidenceVV is the sender's version vector: for each replica, the
-	// generation of that replica's locally observed evidence (SPRT
-	// outcomes plus estimator observations) folded into Evidence and
-	// Estimates. A receiver whose own vector dominates the rumor's can
-	// skip the merge entirely — the rumor carries nothing new.
+	// estimator generation of that replica's locally observed evidence
+	// folded into Estimates. A receiver whose own vector dominates the
+	// rumor's can skip the merge entirely — the rumor carries nothing
+	// new.
 	EvidenceVV map[string]uint64
-	// Estimates is the sender's merged failure-parameter estimator
-	// checkpoint (nil when the sender has no estimator attached). Like
-	// Evidence it merges as a semilattice join (estimate.Snapshot.Merge),
-	// so replicas that never saw a drifting provider's traffic still
-	// converge on the fleet's best evidence about it.
+	// Estimates is the sender's merged estimator checkpoint. Replicas
+	// that never saw a drifting provider's traffic still converge on the
+	// fleet's best evidence about it, drift verdicts included.
 	Estimates map[string]estimate.Snapshot
 }
 

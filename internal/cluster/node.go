@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"socrel/internal/estimate"
@@ -44,7 +43,7 @@ type NodeConfig struct {
 	DeadAfter time.Duration
 	// Seed feeds the fanout-selection RNG (deterministic per replica).
 	Seed int64
-	// GenBase offsets the node's evidence generation counter. A restarted
+	// GenBase offsets the node's evidence generation. A restarted
 	// incarnation passes its predecessor's counter so the version-vector
 	// entry it publishes for itself stays monotonic across the restart —
 	// peers would otherwise dominance-skip its rumors as already-seen
@@ -100,10 +99,8 @@ type NodeStats struct {
 	// RumorsSkipped counts received rumors whose version vector the
 	// local one already dominated — no merge needed.
 	RumorsSkipped uint64 `json:"rumors_skipped"`
-	// EvidenceMerged counts rumors actually folded into the tracker.
+	// EvidenceMerged counts rumors folded in, not dominance-skipped.
 	EvidenceMerged uint64 `json:"evidence_merged"`
-	// BadRumors counts rumors whose evidence failed validation.
-	BadRumors uint64 `json:"bad_rumors"`
 	// EstimatesMerged counts rumors whose estimator checkpoint was folded
 	// into the local estimator; BadEstimates counts rumors where that
 	// merge rejected at least one snapshot.
@@ -112,28 +109,17 @@ type NodeStats struct {
 }
 
 // Node is one replica: an embedded serving tier (admission control,
-// degradation ladder) plus a health tracker, joined to its peers by
-// consistent-hash routing and health-evidence gossip. All methods are
-// safe for concurrent use.
+// degradation ladder) plus a failure-parameter estimator, joined to its
+// peers by consistent-hash routing and gossip of the estimator's
+// checkpoint. The estimator is the replica's only evidence record;
+// quarantine is read off its drift verdicts. All methods are safe for
+// concurrent use.
 type Node struct {
 	cfg       NodeConfig
 	clock     socruntime.Clock
 	srv       *server.Server
-	tracker   *socruntime.HealthTracker
+	est       *estimate.Estimator
 	transport Transport
-
-	// est is the optional failure-parameter estimator whose snapshots
-	// ride this replica's gossip. Stored atomically so observation and
-	// gossip paths never take node.mu to reach it (same reasoning as
-	// evidenceGen).
-	est atomic.Pointer[estimate.Estimator]
-
-	// evidenceGen counts locally observed health outcomes. It is atomic,
-	// not mu-guarded, so Observe wrappers never take the node lock —
-	// HealthTracker callbacks (OnTrip) run under the tracker's lock, and
-	// keeping observation paths off node.mu rules out lock-order cycles
-	// between the two.
-	evidenceGen atomic.Uint64
 
 	mu      sync.Mutex
 	ring    *Ring
@@ -144,29 +130,28 @@ type Node struct {
 	stopped bool
 }
 
-// NewNode wires a replica over an existing server and tracker and
+// NewNode wires a replica over an existing server and estimator and
 // registers nothing — callers register it with the transport when it is
 // ready to receive (Fleet does both).
-func NewNode(cfg NodeConfig, srv *server.Server, tracker *socruntime.HealthTracker, transport Transport) (*Node, error) {
+func NewNode(cfg NodeConfig, srv *server.Server, est *estimate.Estimator, transport Transport) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("cluster: NodeConfig.ID required")
 	}
-	if srv == nil || tracker == nil || transport == nil {
-		return nil, errors.New("cluster: NewNode requires a server, tracker, and transport")
+	if srv == nil || est == nil || transport == nil {
+		return nil, errors.New("cluster: NewNode requires a server, estimator, and transport")
 	}
 	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:       cfg,
 		clock:     cfg.Clock,
 		srv:       srv,
-		tracker:   tracker,
+		est:       est,
 		transport: transport,
 		ring:      NewRing(cfg.VNodes),
 		members:   make(map[string]*member),
 		vv:        make(map[string]uint64),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
-	n.evidenceGen.Store(cfg.GenBase)
 	now := n.clock.Now()
 	n.members[cfg.ID] = &member{id: cfg.ID, state: Alive, lastAlive: now}
 	n.ring.Add(cfg.ID)
@@ -189,64 +174,32 @@ func (n *Node) ID() string { return n.cfg.ID }
 // Server returns the embedded serving tier.
 func (n *Node) Server() *server.Server { return n.srv }
 
-// Tracker returns the embedded health tracker.
-func (n *Node) Tracker() *socruntime.HealthTracker { return n.tracker }
+// Estimator returns the replica's estimator: its checkpoint rides every
+// gossip round, and received rumors' checkpoints merge into it.
+func (n *Node) Estimator() *estimate.Estimator { return n.est }
 
-// Watch registers a provider with the local SPRT monitor.
-func (n *Node) Watch(provider string, predicted float64) error {
-	return n.tracker.Watch(provider, predicted)
-}
-
-// Observe feeds one provider outcome to the local monitor and bumps the
-// replica's evidence generation so the next gossip round carries it.
-func (n *Node) Observe(provider string, success bool) monitor.Verdict {
-	v := n.tracker.Observe(provider, success)
-	n.evidenceGen.Add(1)
-	return v
-}
-
-// AttachEstimator hooks a failure-parameter estimator into the replica:
-// its checkpoint rides every subsequent gossip round, received rumors'
-// estimates merge into it, and its observation generation counts toward
-// the replica's version-vector entry. Attach before gossip starts;
-// attaching nil detaches.
-func (n *Node) AttachEstimator(est *estimate.Estimator) {
-	n.est.Store(est)
-}
-
-// Estimator returns the attached estimator (nil if none).
-func (n *Node) Estimator() *estimate.Estimator {
-	return n.est.Load()
-}
-
-// ObserveEstimate feeds one invocation outcome to the attached estimator
-// (a no-op without one), returning the bucket's drift verdict. The next
-// gossip round carries the updated snapshot.
+// ObserveEstimate feeds one invocation outcome to the estimator,
+// returning the bucket's drift verdict. The next gossip round carries
+// the updated snapshot.
 func (n *Node) ObserveEstimate(o estimate.Outcome) monitor.Verdict {
-	est := n.est.Load()
-	if est == nil {
-		return monitor.Undecided
-	}
-	return est.Observe(o)
+	return n.est.Observe(o)
 }
 
-// EvidenceGen returns the node's current evidence generation — the sum
-// of locally observed health outcomes and estimator observations, on
-// top of any GenBase. It is the version-vector entry the next gossip
-// round will publish; Fleet.Restart passes it forward as the successor
-// incarnation's GenBase.
+// EvidenceGen returns the node's current evidence generation: the
+// estimator's local generation on top of GenBase. It is the
+// version-vector entry the next gossip round will publish;
+// Fleet.Restart passes it forward as the successor incarnation's
+// GenBase.
 func (n *Node) EvidenceGen() uint64 {
-	gen := n.evidenceGen.Load()
-	if est := n.est.Load(); est != nil {
-		gen += est.Gen()
-	}
-	return gen
+	return n.cfg.GenBase + n.est.Gen()
 }
 
-// Quarantined reports whether this replica has the provider tripped —
-// by its own observations or by merged peer evidence.
+// Quarantined reports whether this replica holds the provider drifting
+// up — some bucket of it Violating with Direction +1, by its own
+// observations or by a verdict merged from peer gossip. Downward drift
+// (the provider got better) never quarantines.
 func (n *Node) Quarantined(provider string) bool {
-	return n.tracker.Quarantined(provider)
+	return n.est.DriftingUp(provider)
 }
 
 // Stats returns a snapshot of the replica's cluster counters.
@@ -375,8 +328,8 @@ func (n *Node) ServeForwarded(ctx context.Context, req server.Request) (socrunti
 }
 
 // HandleRumor folds one received rumor into the local view: heartbeat
-// advances revive and admit members, and evidence merges through the
-// tracker unless the version vector proves it is old news. Merging is a
+// advances revive and admit members, and the estimator checkpoint merges
+// unless the version vector proves it is old news. Merging is a
 // semilattice join, so duplicated and reordered rumors are harmless.
 func (n *Node) HandleRumor(r Rumor) {
 	n.mu.Lock()
@@ -404,16 +357,11 @@ func (n *Node) HandleRumor(r Rumor) {
 		return
 	}
 
-	// Merge outside the node lock: MergeCheckpoint takes the tracker
-	// lock, and holding both here would order node.mu before tracker.mu
-	// on this path while pinning every tracker callback to the reverse.
-	// The same ordering argument covers the estimator's lock.
-	if err := n.tracker.MergeCheckpoint(r.Evidence); err != nil {
-		n.bump(func(s *NodeStats) { s.BadRumors++ })
-		return
-	}
-	if est := n.est.Load(); est != nil && len(r.Estimates) > 0 {
-		if err := est.MergeCheckpoint(r.Estimates); err != nil {
+	// Merge outside the node lock: MergeCheckpoint takes the
+	// estimator's lock and may fire its OnDrift callback, and neither
+	// should ever be ordered after node.mu.
+	if len(r.Estimates) > 0 {
+		if err := n.est.MergeCheckpoint(r.Estimates); err != nil {
 			// Valid snapshots merged; the rejects stay the sender's
 			// problem. The version vector still advances — replaying the
 			// same bad snapshot next round would not fix it.
@@ -496,7 +444,7 @@ func (n *Node) rebuildRingLocked() {
 
 // GossipRound runs one push round: advance the local heartbeat, sweep
 // the silence ladder, and send the full local view — heartbeats,
-// evidence checkpoint, version vector — to Fanout live peers (all of
+// estimator checkpoint, version vector — to Fanout live peers (all of
 // them when Fanout is 0).
 func (n *Node) GossipRound() {
 	n.mu.Lock()
@@ -511,9 +459,6 @@ func (n *Node) GossipRound() {
 	if n.sweepLocked(now) {
 		n.rebuildRingLocked()
 	}
-	// The self entry sums the two local evidence counters (SPRT outcomes
-	// and estimator observations): both are monotone, so the sum is a
-	// valid version-vector component covering either stream advancing.
 	n.vv[n.cfg.ID] = n.EvidenceGen()
 
 	// Push targets include Dead-judged members. A Dead judgment is local
@@ -549,11 +494,8 @@ func (n *Node) GossipRound() {
 		From:       n.cfg.ID,
 		Heartbeat:  hb,
 		Heartbeats: heartbeats,
-		Evidence:   n.tracker.Checkpoint(),
 		EvidenceVV: vv,
-	}
-	if est := n.est.Load(); est != nil {
-		r.Estimates = est.Checkpoint()
+		Estimates:  n.est.Checkpoint(),
 	}
 	for _, to := range targets {
 		n.transport.Gossip(n.cfg.ID, to, r)

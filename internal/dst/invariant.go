@@ -102,15 +102,11 @@ func checkGenEcho(w *World) error {
 		return nil // the restarted node's estimator is a fresh instance
 	}
 	for _, n := range w.Fleet().Nodes() {
-		est := n.Estimator()
-		if est == nil {
-			continue
-		}
 		before, ok := w.gens[n.ID()]
 		if !ok {
 			continue
 		}
-		now := est.Gen()
+		now := n.Estimator().Gen()
 		if now < before {
 			return fmt.Errorf("%s estimator gen went backwards: %d → %d", n.ID(), before, now)
 		}
@@ -135,8 +131,8 @@ func checkGenEcho(w *World) error {
 
 // checkGossipConvergence: with no partition and a quiet run of advances,
 // the live replicas' gossiped state is a converged semilattice join —
-// identical estimator checkpoints, identical health checkpoints, and
-// mutually non-Dead membership.
+// identical estimator checkpoints (and so identical drift verdicts, the
+// quarantine view) and mutually non-Dead membership.
 func checkGossipConvergence(w *World) error {
 	if w.PartitionActive() || w.Quiet() < convergedQuiet {
 		return nil
@@ -147,15 +143,10 @@ func checkGossipConvergence(w *World) error {
 	}
 	ref := live[0]
 	refEst := ref.Estimator().Checkpoint()
-	refEvidence := ref.Tracker().Checkpoint()
 	for _, n := range live[1:] {
 		if got := n.Estimator().Checkpoint(); !reflect.DeepEqual(refEst, got) {
 			return fmt.Errorf("estimator checkpoints diverge after %d quiet rounds: %s has %d buckets, %s has %d",
 				w.Quiet(), ref.ID(), len(refEst), n.ID(), len(got))
-		}
-		if got := n.Tracker().Checkpoint(); !reflect.DeepEqual(refEvidence, got) {
-			return fmt.Errorf("health checkpoints diverge after %d quiet rounds (%s vs %s)",
-				w.Quiet(), ref.ID(), n.ID())
 		}
 	}
 	for _, a := range live {

@@ -425,15 +425,13 @@ func (w *World) Run(events []Event) *Violation {
 	return nil
 }
 
-// snapGens records every attached estimator's generation, keyed by
-// node ID — the baseline the gen-monotonicity invariant compares the
-// next step against.
+// snapGens records every estimator's generation, keyed by node ID —
+// the baseline the gen-monotonicity invariant compares the next step
+// against.
 func (w *World) snapGens() {
 	w.gens = make(map[string]uint64, len(w.gens))
 	for _, n := range w.fleet.Nodes() {
-		if est := n.Estimator(); est != nil {
-			w.gens[n.ID()] = est.Gen()
-		}
+		w.gens[n.ID()] = n.Estimator().Gen()
 	}
 }
 
@@ -447,9 +445,7 @@ func (w *World) digest() string {
 	}
 	gens := make(map[string]uint64)
 	for _, n := range w.fleet.Nodes() {
-		if est := n.Estimator(); est != nil {
-			gens[n.ID()] = est.Gen()
-		}
+		gens[n.ID()] = n.Estimator().Gen()
 	}
 	ns := w.net.Stats()
 	return fmt.Sprintf("live=%d killed=%v split=%v quiet=%d gens=%v answers=%v net=%+v",

@@ -233,9 +233,11 @@ type Estimator struct {
 	cfg   Config
 	clock runtime.Clock
 
-	// gen counts state changes (observations and merges); the cluster
-	// layer folds it into gossip version vectors so new estimation
-	// evidence invalidates rumor-skip.
+	// gen counts local state changes: observations and bound changes.
+	// MergeCheckpoint deliberately does not bump it — merged-in evidence
+	// is already versioned by its senders — so the cluster layer can fold
+	// gen into gossip version vectors: new local evidence invalidates
+	// rumor-skip, and a merge never reads as fresh local evidence.
 	gen atomic.Uint64
 
 	mu      sync.Mutex
@@ -256,7 +258,8 @@ func New(cfg Config) (*Estimator, error) {
 	}, nil
 }
 
-// Gen returns a monotonic counter bumped by every state change.
+// Gen returns a monotonic counter bumped by every local observation
+// and SetBound; merges leave it unchanged.
 func (e *Estimator) Gen() uint64 { return e.gen.Load() }
 
 // Config returns the estimator's (defaulted) configuration.
@@ -404,6 +407,25 @@ func (e *Estimator) Verdict(k Key) (monitor.Verdict, int) {
 		return en.effectiveVerdict()
 	}
 	return 0, 0
+}
+
+// DriftingUp reports whether any of the provider's buckets has the
+// effective drift verdict Violating with Direction +1: the provider
+// fails measurably more often than its bound, by local observation or
+// by a verdict merged from gossip. It reads verdicts only, in one pass
+// under the lock, and fits nothing.
+func (e *Estimator) DriftingUp(provider string) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for k, en := range e.entries {
+		if k.Provider != provider {
+			continue
+		}
+		if v, dir := en.effectiveVerdict(); v == monitor.Violating && dir == 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // estimateLocked fits the bucket's windowed rate. Callers hold e.mu.

@@ -1,7 +1,7 @@
 package estimate
 
-// Estimator checkpoints and their gossip merge. The construction mirrors
-// monitor/merge.go exactly: two replicas observed *different* outcome
+// Estimator checkpoints and their gossip merge — the one evidence
+// lattice a fleet gossips. Two replicas observed *different* outcome
 // streams for the same bucket, so summing their counts would
 // double-count evidence as rumors are re-delivered. Merge instead picks
 // the snapshot carrying the most evidence under a deterministic total
@@ -12,10 +12,10 @@ package estimate
 // commutative, associative, idempotent, hence convergent under
 // re-delivered and reordered gossip.
 //
-// As in monitor, the evidence comparator must never read Decided or
-// Direction: the verdict join rewrites those fields, and a comparator
-// depending on them would order merged snapshots differently from their
-// inputs, breaking associativity.
+// The evidence comparator must never read Decided or Direction: the
+// verdict join rewrites those fields, and a comparator depending on them
+// would order merged snapshots differently from their inputs, breaking
+// associativity.
 
 import (
 	"fmt"

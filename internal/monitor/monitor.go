@@ -246,25 +246,25 @@ func (m *Monitor) Snapshot() Snapshot {
 	}
 }
 
-// validate checks a snapshot's internal consistency, returning its
-// defaulted configuration. Restore and Merge share it.
-func (s Snapshot) validate() (Config, error) {
+// validate checks a snapshot's internal consistency before Restore
+// rebuilds from it.
+func (s Snapshot) validate() error {
 	cfg, err := s.Config.withDefaults()
 	if err != nil {
-		return cfg, err
+		return err
 	}
 	if s.Total < 0 || s.Successes < 0 || s.Successes > s.Total {
-		return cfg, fmt.Errorf("%w: %d successes of %d outcomes", ErrBadSnapshot, s.Successes, s.Total)
+		return fmt.Errorf("%w: %d successes of %d outcomes", ErrBadSnapshot, s.Successes, s.Total)
 	}
 	if len(s.Window) > cfg.Window || len(s.Window) > s.Total {
-		return cfg, fmt.Errorf("%w: window of %d entries (config window %d, total %d)", ErrBadSnapshot, len(s.Window), cfg.Window, s.Total)
+		return fmt.Errorf("%w: window of %d entries (config window %d, total %d)", ErrBadSnapshot, len(s.Window), cfg.Window, s.Total)
 	}
 	switch s.Decided {
 	case Undecided, Meeting, Violating:
 	default:
-		return cfg, fmt.Errorf("%w: verdict %d", ErrBadSnapshot, int(s.Decided))
+		return fmt.Errorf("%w: verdict %d", ErrBadSnapshot, int(s.Decided))
 	}
-	return cfg, nil
+	return nil
 }
 
 // Restore rebuilds a Monitor from a snapshot. The restored monitor
@@ -272,7 +272,7 @@ func (s Snapshot) validate() (Config, error) {
 // SPRT evidence, same verdict — and ResetSPRT keeps its usual semantics
 // (re-arm the sequential test, keep the statistics).
 func Restore(s Snapshot) (*Monitor, error) {
-	if _, err := s.validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	m, err := New(s.Config)

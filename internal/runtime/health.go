@@ -20,10 +20,6 @@ var (
 	// ErrAllQuarantined is returned by SelectHealthyBinding when every
 	// candidate provider is quarantined.
 	ErrAllQuarantined = errors.New("runtime: all candidate providers quarantined")
-	// ErrPeerEvidence is the trip reason when merged evidence gossiped
-	// from a peer replica — not this process's own observations — carries
-	// a Violating SPRT verdict for a provider.
-	ErrPeerEvidence = errors.New("runtime: SPRT violating in merged peer evidence")
 	// ErrDrift is the trip reason when the estimation layer confirms a
 	// provider's failure parameters drifted away from the bound model.
 	ErrDrift = errors.New("runtime: failure-parameter drift")
@@ -269,60 +265,6 @@ func (h *HealthTracker) RestoreCheckpoint(snap map[string]monitor.Snapshot) erro
 		}
 	}
 	return nil
-}
-
-// MergeCheckpoint folds a remote replica's checkpoint into this tracker:
-// each provider's snapshot merges with the local one under the monitor
-// package's most-evidence-wins semantics (commutative and idempotent, so
-// re-delivered gossip neither double-counts evidence nor regresses a
-// tripped verdict), and providers the tracker has never seen are adopted
-// wholesale with a fresh breaker. When a merge moves a provider's verdict
-// to Violating that was not already Violating locally, the provider's
-// breaker trips — this is how a quarantine observed on one replica
-// propagates fleet-wide — and OnTrip fires with a reason wrapping both
-// ErrProviderDegraded and ErrPeerEvidence.
-func (h *HealthTracker) MergeCheckpoint(snap map[string]monitor.Snapshot) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for name, remote := range snap {
-		ph, ok := h.providers[name]
-		if !ok {
-			mon, err := monitor.Restore(remote)
-			if err != nil {
-				return fmt.Errorf("runtime: merge %q: %w", name, err)
-			}
-			ph = &providerHealth{breaker: NewBreaker(h.cfg.Breaker), mon: mon}
-			h.providers[name] = ph
-			if remote.Decided == monitor.Violating {
-				h.tripFromPeerLocked(name, ph, remote.Total)
-			}
-			continue
-		}
-		local := ph.mon.Snapshot()
-		merged, err := local.Merge(remote)
-		if err != nil {
-			return fmt.Errorf("runtime: merge %q: %w", name, err)
-		}
-		mon, err := monitor.Restore(merged)
-		if err != nil {
-			return fmt.Errorf("runtime: merge %q: %w", name, err)
-		}
-		ph.mon = mon
-		if merged.Decided == monitor.Violating && local.Decided != monitor.Violating {
-			h.tripFromPeerLocked(name, ph, merged.Total)
-		}
-	}
-	return nil
-}
-
-// tripFromPeerLocked opens a provider's breaker because merged peer
-// evidence says it is violating. Callers hold h.mu.
-func (h *HealthTracker) tripFromPeerLocked(name string, ph *providerHealth, total int) {
-	reason := fmt.Errorf("%w: %w after %d merged outcomes", ErrProviderDegraded, ErrPeerEvidence, total)
-	ph.breaker.Trip(reason)
-	if h.cfg.OnTrip != nil {
-		h.cfg.OnTrip(name, reason)
-	}
 }
 
 // TripDrift opens a watched provider's breaker because the estimation
