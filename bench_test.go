@@ -10,7 +10,6 @@ package socrel
 // their output doubles as a wall-clock budget for cmd/experiments.
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -274,58 +273,61 @@ func BenchmarkCompiledParallel(b *testing.B) {
 
 // BenchmarkCompiledBatch times PfailBatch over the Figure 6 list sizes.
 func BenchmarkCompiledBatch(b *testing.B) {
-	cas := compiledPaperPair(b)
-	base := make([][]float64, 0, 17)
-	for e := 4; e <= 20; e++ {
-		base = append(base, []float64{1, float64(int(1) << e), 1})
+	benchFigure6Batch(b, compiledPaperPair(b)[1])
+}
+
+// benchFigure6Batch times PfailBatch on the remote assembly's search
+// service over the 17 Figure 6 list sizes. The parameter sets are built
+// once and perturbed in place each iteration, so no point is ever
+// memoized and allocs/op counts the kernel's allocations only.
+func benchFigure6Batch(b *testing.B, ca *core.CompiledAssembly) {
+	sets := make([][]float64, 17)
+	for j := range sets {
+		sets[j] = []float64{1, 0, 1}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sets := make([][]float64, len(base))
-		for j, s := range base {
-			// Perturb the list size so no point is ever memoized.
-			sets[j] = []float64{s[0], s[1] + float64(i)/1024, s[2]}
+		for j := range sets {
+			sets[j][1] = float64(int(1)<<(j+4)) + float64(i)/1024
 		}
-		if _, err := cas[1].PfailBatch("search", sets); err != nil {
+		if _, err := ca.PfailBatch("search", sets); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(base)), "ns/point")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sets)), "ns/point")
 }
 
-// BenchmarkCompiledLane times the Figure 6 batch workload at several lane
-// widths (1 = scalar batching), over a larger grid so every width gets
-// full lanes. The spread justifies core.DefaultLaneWidth.
-func BenchmarkCompiledLane(b *testing.B) {
-	p := assembly.DefaultPaperParams()
-	remote, err := assembly.RemoteAssembly(p)
+// BenchmarkCompile times the one-time compile of the paper's remote
+// assembly, apart from any per-point cost: numeric builds the chain
+// skeletons, parametric also solves each chain symbolically into a
+// closed-form program. Its ratio to the per-point benchmarks is the
+// number of points a compile has to serve to pay for itself.
+func BenchmarkCompile(b *testing.B) {
+	remote, err := assembly.RemoteAssembly(assembly.DefaultPaperParams())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, width := range []int{1, 4, 8, 16, 32} {
-		ca, err := core.Compile(remote, core.Options{LaneWidth: width}, "search")
-		if err != nil {
-			b.Fatal(err)
+	b.Run("numeric", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Compile(remote, core.Options{}, "search"); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
-			sets := make([][]float64, 64)
-			for j := range sets {
-				sets[j] = []float64{1, 0, 1}
+	})
+	b.Run("parametric", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ca, err := core.CompileParametric(remote, core.Options{}, core.ParametricOptions{}, "search")
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range sets {
-					// Distinct, never-repeating list sizes defeat the memo.
-					sets[j][1] = float64(16+j) + float64(i)/1024
-				}
-				if _, err := ca.PfailBatch("search", sets); err != nil {
-					b.Fatal(err)
-				}
+			if ca.ParametricStats().Outputs == 0 {
+				b.Fatalf("remote assembly has no closed form: %v", ca.ParametricFallbacks())
 			}
-		})
-	}
+		}
+	})
 }
 
 // --- Parametric-engine benchmarks (symbolic solve, closed-form eval). ---
@@ -380,24 +382,7 @@ func BenchmarkParametricSerial(b *testing.B) {
 // BenchmarkCompiledBatch's is the headline parametric speedup recorded
 // in BENCH_engine.json.
 func BenchmarkParametricBatch(b *testing.B) {
-	cas := parametricPaperPair(b)
-	base := make([][]float64, 0, 17)
-	for e := 4; e <= 20; e++ {
-		base = append(base, []float64{1, float64(int(1) << e), 1})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sets := make([][]float64, len(base))
-		for j, s := range base {
-			// Perturb the list size so no point is ever memoized.
-			sets[j] = []float64{s[0], s[1] + float64(i)/1024, s[2]}
-		}
-		if _, err := cas[1].PfailBatch("search", sets); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(base)), "ns/point")
+	benchFigure6Batch(b, parametricPaperPair(b)[1])
 }
 
 // BenchmarkParametricGradient times the exact symbolic gradient (three
@@ -414,58 +399,38 @@ func BenchmarkParametricGradient(b *testing.B) {
 	}
 }
 
-// BenchmarkDAGFastPath pits the structure-aware solver (DAG forward
-// substitution) against the dense-LU reference on the same serial
-// workload; the gap is the pure solve saving on acyclic flows.
+// BenchmarkDAGFastPath times the structure-aware solver's DAG forward
+// substitution on the serial workload: the paper's remote assembly, and a
+// 192-state acyclic flow where the solve is one O(E) pass instead of a
+// factorization of the 193x193 transient system.
 func BenchmarkDAGFastPath(b *testing.B) {
-	p := assembly.DefaultPaperParams()
-	remote, err := assembly.RemoteAssembly(p)
+	remote, err := assembly.RemoteAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	chain, chainRoot, err := experiments.SyntheticAssembly(1, 1, 192)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		opts core.Options
+		name   string
+		asm    model.Resolver
+		root   string
+		params []float64 // params[vary] is set to a fresh value per point
+		vary   int
 	}{
-		{"structured", core.Options{}},
-		{"forced-LU", core.Options{ForceDenseSolve: true}},
+		{"structured", remote, "search", []float64{1, 0, 1}, 1},
+		{"chain192-structured", chain, chainRoot, []float64{0}, 0},
 	} {
-		ca, err := core.Compile(remote, tc.opts, "search")
+		ca, err := core.Compile(tc.asm, core.Options{}, tc.root)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ca.Pfail("search", 1, float64(16+i), 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	// The asymptotic gap: on a 192-state acyclic flow the structured
-	// solver runs forward substitution in O(E) while the dense path
-	// factors a 193x193 matrix per evaluation.
-	asm, root, err := experiments.SyntheticAssembly(1, 1, 192)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"chain192-structured", core.Options{}},
-		{"chain192-forced-LU", core.Options{ForceDenseSolve: true}},
-	} {
-		ca, err := core.Compile(asm, tc.opts, root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ca.Pfail(root, float64(16+i)); err != nil {
+				tc.params[tc.vary] = float64(16 + i)
+				if _, err := ca.Pfail(tc.root, tc.params...); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,14 +30,11 @@ const memoShardCount = 64
 // set of a typical sweep fully cached.
 const memoShardCap = 1 << 13
 
-// DefaultLaneWidth is the batch lane width used when Options.LaneWidth is
-// zero: eight points per lane amortizes instruction dispatch well while
-// keeping the structure-of-arrays scratch comfortably inside L1.
-const DefaultLaneWidth = 8
-
-// MaxLaneWidth caps Options.LaneWidth; the lane scheduler tracks memo
-// hits per lane in a 64-bit mask, and wider lanes stop paying anyway.
-const MaxLaneWidth = 64
+// batchChunk is the number of consecutive points a PfailBatch worker
+// claims at a time. A closed-form root evaluates the whole chunk in one
+// expr.EvalLane pass; eight points amortize instruction dispatch while
+// keeping the structure-of-arrays scratch inside L1.
+const batchChunk = 8
 
 // doorkeeperSlots sizes each shard's admission filter (1 KiB per shard).
 const doorkeeperSlots = 1 << 10
@@ -74,11 +71,6 @@ type CompiledAssembly struct {
 	maxStack int
 	maxArity int
 
-	// laneWidth is the resolved batch lane width (1 = scalar batches);
-	// forceDense pins every solve to the dense-LU reference path.
-	laneWidth  int
-	forceDense bool
-
 	memoSeed   maphash.Seed
 	memo       [memoShardCount]memoShard
 	memoHits   atomic.Uint64
@@ -98,19 +90,6 @@ type CompiledAssembly struct {
 }
 
 func (ca *CompiledAssembly) init() {
-	ca.laneWidth = ca.opts.LaneWidth
-	switch {
-	case ca.laneWidth <= 0:
-		ca.laneWidth = DefaultLaneWidth
-	case ca.laneWidth > MaxLaneWidth:
-		ca.laneWidth = MaxLaneWidth
-	}
-	if ca.opts.ForceDenseSolve {
-		// The dense reference path is scalar-only; lanes would route
-		// around it.
-		ca.forceDense = true
-		ca.laneWidth = 1
-	}
 	ca.memoSeed = maphash.MakeSeed()
 	for i := range ca.memo {
 		ca.memo[i].m = make(map[string]float64)
@@ -234,15 +213,16 @@ func (ca *CompiledAssembly) PfailBatch(service string, paramSets [][]float64) ([
 // evaluated. The error is the lowest-indexed point's failure (classified
 // into the taxonomy).
 //
-// Points are evaluated in lanes of Options.LaneWidth (structure-of-arrays,
-// one instruction pass per expression for the whole lane); lanes are
-// chunked over up to GOMAXPROCS workers. Each lane result is bit-identical
-// to the corresponding single-point Pfail. A failing or panicking lane is
-// transparently re-run point by point, so a bad point never poisons its
-// siblings and the reported error names the lowest failing point exactly
-// as the scalar path would. Workers check ctx at every lane boundary, and
-// a lane whose evaluation straddled the cancellation discards its results,
-// so a cancellation still stops the batch at a point boundary.
+// Points are handed out in chunks of batchChunk to up to GOMAXPROCS
+// workers. A root with a closed form evaluates a chunk in one
+// structure-of-arrays pass (expr.EvalLane); a chunk the closed form cannot
+// serve, and every chunk of a numeric root, runs point by point through
+// the single-point kernel. Either way each result is bit-identical to
+// Pfail at that point, and a failing point never poisons its siblings.
+// Workers check ctx before every numeric point and every closed-form
+// chunk, and a closed-form chunk whose evaluation straddled the
+// cancellation discards its results, so a cancellation stops the batch at
+// a point boundary.
 func (ca *CompiledAssembly) PfailBatchCtx(ctx context.Context, service string, paramSets [][]float64) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -266,15 +246,15 @@ func (ca *CompiledAssembly) PfailBatchCtx(ctx context.Context, service string, p
 		}
 		errMu.Unlock()
 	}
-	lw := ca.laneWidth
-	numChunks := (len(paramSets) + lw - 1) / lw
+	numChunks := (len(paramSets) + batchChunk - 1) / batchChunk
 	po := ca.parametric[idx]
 	evalChunk := func(s *session, lo int) {
-		hi := min(lo+lw, len(paramSets))
+		hi := min(lo+batchChunk, len(paramSets))
 		if po != nil && ca.parametricChunk(po, s, paramSets[lo:hi], out[lo:hi]) {
 			if cerr := ctx.Err(); cerr != nil {
-				// Keep the stop-at-a-point-boundary contract the numeric
-				// lanes honor: discard a lane that straddled cancellation.
+				// The cancellation fired while the chunk was in flight;
+				// discard its results to keep the stop-at-a-point-boundary
+				// contract.
 				for i := lo; i < hi; i++ {
 					out[i] = math.NaN()
 				}
@@ -286,27 +266,6 @@ func (ca *CompiledAssembly) PfailBatchCtx(ctx context.Context, service string, p
 		}
 		if ca.parametric != nil {
 			ca.numericPoints.Add(uint64(hi - lo))
-		}
-		if k := hi - lo; k > 1 {
-			err := guardLane(func() error { return s.pfailLaneTop(idx, paramSets[lo:hi], out[lo:hi]) })
-			if err == nil {
-				if cerr := ctx.Err(); cerr != nil {
-					// The cancellation fired while the lane was in
-					// flight; discard its results to keep the
-					// stop-at-a-point-boundary contract.
-					for i := lo; i < hi; i++ {
-						out[i] = math.NaN()
-					}
-					record(lo, cerr)
-				}
-				return
-			}
-			// The lane cannot attribute a failure to a point: fall back
-			// to scalar evaluation so the error names the exact point and
-			// its siblings still complete.
-			for i := lo; i < hi; i++ {
-				out[i] = math.NaN()
-			}
 		}
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
@@ -325,7 +284,7 @@ func (ca *CompiledAssembly) PfailBatchCtx(ctx context.Context, service string, p
 	if workers <= 1 {
 		s := ca.pool.Get().(*session)
 		defer ca.pool.Put(s)
-		for lo := 0; lo < len(paramSets); lo += lw {
+		for lo := 0; lo < len(paramSets); lo += batchChunk {
 			if err := ctx.Err(); err != nil {
 				record(lo, err)
 				break
@@ -348,10 +307,10 @@ func (ca *CompiledAssembly) PfailBatchCtx(ctx context.Context, service string, p
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					record(c*lw, err)
+					record(c*batchChunk, err)
 					return
 				}
-				evalChunk(s, c*lw)
+				evalChunk(s, c*batchChunk)
 			}
 		}()
 	}
@@ -430,88 +389,60 @@ func (ca *CompiledAssembly) memoPut(key []byte, v float64) {
 type session struct {
 	ca     *CompiledAssembly
 	arena  []float64
-	stack  []float64
+	stack  []float64 // sized for a batchChunk-wide closed-form EvalLane
 	keyBuf []byte
 
 	stateFail [][]float64              // per service: per-transient failure
 	reqFail   [][]model.RequestFailure // per service: per-request scratch
 
-	// Linear-solve workspace, sized to the largest skeleton. The
-	// lane-strided buffers (stateFail, edgeP, x, absorb, reach) hold
-	// laneCap values per slot — scalar evaluation is simply the K=1
-	// stride of the same layout, so both paths share one solver.
-	m      []float64 // n*n dense I-Q (or SCC block), factorized in place
-	b      []float64
-	x      []float64
-	perm   []int
-	edgeP  []float64 // per-transition augmented probabilities
-	absorb []bool
-	reach  []bool
+	// Structured-solve workspace: per-transition augmented probabilities
+	// and per-state absorption values, classification and reachability
+	// sized to the largest skeleton; the dense block, right-hand side,
+	// permutation and block solution sized to the largest cyclic SCC.
+	edgeP    []float64
+	x        []float64
+	absorb   []bool
+	reach    []bool
+	sccLocal []int32
+	m        []float64 // m×m block I-Q of one cyclic SCC, factorized in place
+	b        []float64
+	blockX   []float64
+	perm     []int
 
-	// Lane scratch (see lane.go): the lane parameter arena, per-point
-	// memo keys, per-state classification rows, SCC block solve scratch,
-	// and per-service request/recursion rows.
-	laneCap   int
-	laneArena []float64
-	laneKeys  [][]byte
-	laneSum   []float64
-	laneSelf  []float64
-	laneEdges []int
-	sccLocal  []int32
-	blockX    []float64
-	reqInt    [][]float64 // per service: per-request internal failures
-	reqExt    [][]float64 // per service: per-request external failures
-	childP    [][]float64 // per service: provider/connector/internal rows
+	// chunkSlots holds a closed-form chunk's parameters transposed to
+	// structure-of-arrays order for expr.EvalLane (see parametricChunk).
+	chunkSlots []float64
 }
 
 func newSession(ca *CompiledAssembly) *session {
-	lc := ca.laneWidth
 	s := &session{
 		ca:        ca,
 		arena:     make([]float64, 0, 64),
-		stack:     make([]float64, ca.maxStack*lc+expr.LaneCallScratch),
+		stack:     make([]float64, ca.maxStack*batchChunk+expr.LaneCallScratch),
 		keyBuf:    make([]byte, 0, 64),
 		stateFail: make([][]float64, len(ca.services)),
 		reqFail:   make([][]model.RequestFailure, len(ca.services)),
-		laneCap:   lc,
-		laneArena: make([]float64, 0, 64*lc),
-		laneKeys:  make([][]byte, lc),
-		laneSum:   make([]float64, lc),
-		laneSelf:  make([]float64, lc),
-		laneEdges: make([]int, lc),
-		reqInt:    make([][]float64, len(ca.services)),
-		reqExt:    make([][]float64, len(ca.services)),
-		childP:    make([][]float64, len(ca.services)),
 	}
-	for k := range s.laneKeys {
-		s.laneKeys[k] = make([]byte, 0, 64)
-	}
-	maxN, maxTrans := 1, 1
+	maxN, maxTrans, maxSCC := 1, 1, 1
 	for i, svc := range ca.services {
 		if svc.comp == nil {
 			continue
 		}
-		s.stateFail[i] = make([]float64, svc.comp.n*lc)
+		s.stateFail[i] = make([]float64, svc.comp.n)
 		s.reqFail[i] = make([]model.RequestFailure, svc.comp.maxRequests)
-		s.reqInt[i] = make([]float64, svc.comp.maxRequests*lc)
-		s.reqExt[i] = make([]float64, svc.comp.maxRequests*lc)
-		s.childP[i] = make([]float64, 3*lc)
-		if svc.comp.n > maxN {
-			maxN = svc.comp.n
-		}
-		if len(svc.comp.transitions) > maxTrans {
-			maxTrans = len(svc.comp.transitions)
-		}
+		maxN = max(maxN, svc.comp.n)
+		maxTrans = max(maxTrans, len(svc.comp.transitions))
+		maxSCC = max(maxSCC, svc.comp.structure.maxSCC)
 	}
-	s.m = make([]float64, maxN*maxN)
-	s.b = make([]float64, maxN)
-	s.x = make([]float64, maxN*lc)
-	s.perm = make([]int, maxN)
-	s.edgeP = make([]float64, maxTrans*lc)
-	s.absorb = make([]bool, maxN*lc)
-	s.reach = make([]bool, maxN*lc)
+	s.edgeP = make([]float64, maxTrans)
+	s.x = make([]float64, maxN)
+	s.absorb = make([]bool, maxN)
+	s.reach = make([]bool, maxN)
 	s.sccLocal = make([]int32, maxN)
-	s.blockX = make([]float64, maxN)
+	s.m = make([]float64, maxSCC*maxSCC)
+	s.b = make([]float64, maxSCC)
+	s.blockX = make([]float64, maxSCC)
+	s.perm = make([]int, maxSCC)
 	return s
 }
 
@@ -571,9 +502,10 @@ func (s *session) memoKey(svcIdx, off, np int) []byte {
 
 // evalComposite fills the composite's pre-built skeleton with numbers and
 // solves it: per-state failures first (recursing into providers and
-// connectors), then the augmented-chain linear system. The arithmetic
-// mirrors the interpreted evalComposite operation for operation so both
-// engines produce bit-identical results on the same invocation.
+// connectors), then the augmented-chain linear system. The per-state and
+// per-edge arithmetic mirrors the interpreted evalComposite operation for
+// operation; only the solve takes a different (structured) route, so the
+// two engines agree to within 1e-12 (TestRandomFlowParity).
 func (s *session) evalComposite(svcIdx, off, np int) (float64, error) {
 	svc := s.ca.services[svcIdx]
 	comp := svc.comp
@@ -613,140 +545,93 @@ func (s *session) evalComposite(svcIdx, off, np int) (float64, error) {
 		s.edgeP[ti] = clamp01(p)
 	}
 
-	if s.ca.forceDense {
-		pEnd, err := s.solveSkeleton(svc, fail)
-		if err != nil {
-			return 0, err
-		}
-		return clamp01(1 - pEnd), nil
-	}
-	if err := s.solveStructured(svc, 1, fail, s.edgeP, s.x); err != nil {
+	if err := s.solveStructured(svc, fail); err != nil {
 		return 0, err
 	}
 	return clamp01(1 - clamp01(s.x[0])), nil
 }
 
 // solveStructured computes the absorption probabilities of the augmented
-// chain using the compile-time structure analysis (see structure.go), for
-// a lane of K parameter points at once: fail, edgeP and x hold K values
-// per slot (slot i's lane at [i*K : (i+1)*K]), and scalar evaluation is
-// the K=1 stride of the same code, so lane and single-point results are
-// bit-identical by construction.
+// chain into s.x from the per-state failures and s.edgeP, using the
+// compile-time structure analysis (see structure.go).
 //
-// States are classified exactly like solveSkeleton (and markov.Chain):
-// runtime-absorbing states leave the transient set with x = 0, everyone
-// else must have outgoing mass summing to one. The solve then walks the
-// successors-first SCC order: singleton SCCs are pure forward
-// substitution (with the geometric-series division for a self-loop), and
-// larger SCCs factorize a dense block of their own size — never the full
-// n×n system. On an acyclic flow (maxSCC == 1, the common case) the whole
-// solve is a single O(E) pass with no matrix build, and the
-// cannot-reach-absorption error is statically impossible: every
-// non-absorbing state has validated unit outgoing mass, some of it off
-// itself, so by induction along the topological order it reaches End, a
-// failure edge, or an absorbing state. The reachability fixpoint
-// therefore only runs when a real cycle exists.
-func (s *session) solveStructured(svc *compiledService, K int, fail, edgeP, x []float64) error {
+// States are classified exactly like markov.Chain: runtime-absorbing
+// states leave the transient set with x = 0, everyone else must have
+// outgoing mass summing to one. The solve then walks the successors-first
+// SCC order: singleton SCCs are pure forward substitution (with the
+// geometric-series division for a self-loop), and larger SCCs factorize a
+// dense block of their own size — never the full n×n system. On an
+// acyclic flow (maxSCC == 1, the common case) the whole solve is a single
+// O(E) pass with no matrix build, and the cannot-reach-absorption error is
+// statically impossible: every non-absorbing state has validated unit
+// outgoing mass, some of it off itself, so by induction along the
+// topological order it reaches End, a failure edge, or an absorbing state.
+// The reachability fixpoint therefore only runs when a real cycle exists.
+func (s *session) solveStructured(svc *compiledService, fail []float64) error {
 	comp := svc.comp
 	fs := comp.structure
 	n := comp.n
-	absorb := s.absorb[:n*K]
-	sum := s.laneSum[:K]
-	self := s.laneSelf[:K]
-	edges := s.laneEdges[:K]
+	edgeP, x := s.edgeP, s.x
+	absorb := s.absorb[:n]
 	const probTol = 1e-9
 
-	// Classify each slot per lane point the way markov.Chain does: a
-	// state with no positive outgoing mass, or a lone self-loop of
-	// probability one, is absorbing; everyone else must have outgoing
-	// mass (edges + failure) summing to one.
+	// Classify each state the way markov.Chain does: a state with no
+	// positive outgoing mass, or a lone self-loop of probability one, is
+	// absorbing; everyone else must have outgoing mass (edges + failure)
+	// summing to one.
 	for i := 0; i < n; i++ {
-		fi := fail[i*K : i*K+K]
-		for k := 0; k < K; k++ {
-			sum[k] = fi[k]
-			self[k] = -1
-			if fi[k] > 0 {
-				edges[k] = 1
-			} else {
-				edges[k] = 0
-			}
+		sum, self, edges := fail[i], -1.0, 0
+		if fail[i] > 0 {
+			edges = 1
 		}
 		for _, ti := range fs.outEdges[i] {
-			to := comp.transitions[ti].to
-			row := edgeP[int(ti)*K : int(ti)*K+K]
-			for k := 0; k < K; k++ {
-				p := row[k]
-				if p == 0 {
-					continue
-				}
-				edges[k]++
-				sum[k] += p
-				if to == i {
-					self[k] = p
-				}
-			}
-		}
-		ab := absorb[i*K : i*K+K]
-		for k := 0; k < K; k++ {
-			if edges[k] == 0 || (edges[k] == 1 && fi[k] == 0 && self[k] >= 0 && math.Abs(self[k]-1) <= probTol) {
-				ab[k] = true
+			p := edgeP[ti]
+			if p == 0 {
 				continue
 			}
-			ab[k] = false
-			if math.Abs(sum[k]-1) > probTol {
-				return fmt.Errorf("core: %s: %w: outgoing probabilities of %q sum to %.12g",
-					svc.name, markov.ErrInvalidProbability, s.transientName(comp, i), sum[k])
+			edges++
+			sum += p
+			if comp.transitions[ti].to == i {
+				self = p
 			}
+		}
+		absorb[i] = edges == 0 || (edges == 1 && fail[i] == 0 && self >= 0 && math.Abs(self-1) <= probTol)
+		if !absorb[i] && math.Abs(sum-1) > probTol {
+			return fmt.Errorf("core: %s: %w: outgoing probabilities of %q sum to %.12g",
+				svc.name, markov.ErrInvalidProbability, transientStateName(comp, i), sum)
 		}
 	}
 
 	if fs.maxSCC > 1 {
 		// A real cycle can trap probability mass: check that every
-		// transient state reaches absorption, per lane point, exactly
-		// like the dense path.
-		reach := s.reach[:n*K]
+		// transient state reaches absorption, as markov.Chain does.
+		reach := s.reach[:n]
 		for i := 0; i < n; i++ {
-			for k := 0; k < K; k++ {
-				reach[i*K+k] = absorb[i*K+k] || fail[i*K+k] > 0
-			}
+			reach[i] = absorb[i] || fail[i] > 0
 		}
 		for ti := range comp.transitions {
 			tr := &comp.transitions[ti]
-			if tr.to >= 0 {
-				continue
-			}
-			row := edgeP[ti*K : ti*K+K]
-			for k := 0; k < K; k++ {
-				if row[k] != 0 && !absorb[tr.from*K+k] {
-					reach[tr.from*K+k] = true
-				}
+			if tr.to < 0 && edgeP[ti] != 0 && !absorb[tr.from] {
+				reach[tr.from] = true
 			}
 		}
 		for changed := true; changed; {
 			changed = false
 			for ti := range comp.transitions {
 				tr := &comp.transitions[ti]
-				if tr.to < 0 {
+				if tr.to < 0 || edgeP[ti] == 0 || absorb[tr.from] {
 					continue
 				}
-				row := edgeP[ti*K : ti*K+K]
-				for k := 0; k < K; k++ {
-					if row[k] == 0 || absorb[tr.from*K+k] {
-						continue
-					}
-					if !reach[tr.from*K+k] && reach[tr.to*K+k] {
-						reach[tr.from*K+k] = true
-						changed = true
-					}
+				if !reach[tr.from] && reach[tr.to] {
+					reach[tr.from] = true
+					changed = true
 				}
 			}
 		}
 		for i := 0; i < n; i++ {
-			for k := 0; k < K; k++ {
-				if !reach[i*K+k] {
-					return fmt.Errorf("core: %s: %w: state %q cannot reach an absorbing state",
-						svc.name, markov.ErrNotAbsorbing, s.transientName(comp, i))
-				}
+			if !reach[i] {
+				return fmt.Errorf("core: %s: %w: state %q cannot reach an absorbing state",
+					svc.name, markov.ErrNotAbsorbing, transientStateName(comp, i))
 			}
 		}
 	}
@@ -757,47 +642,33 @@ func (s *session) solveStructured(svc *compiledService, K int, fail, edgeP, x []
 		members := fs.scc(c)
 		if len(members) == 1 {
 			i := int(members[0])
-			xi := x[i*K : i*K+K]
-			ab := absorb[i*K : i*K+K]
-			for k := 0; k < K; k++ {
-				xi[k] = 0
-				self[k] = 0
+			if absorb[i] {
+				x[i] = 0
+				continue
 			}
+			xi, self := 0.0, 0.0
 			for _, ti := range fs.outEdges[i] {
 				tr := &comp.transitions[ti]
-				row := edgeP[int(ti)*K : int(ti)*K+K]
+				p := edgeP[ti]
 				switch {
 				case tr.to == i:
-					copy(self, row)
+					self = p
 				case tr.to < 0:
-					for k := 0; k < K; k++ {
-						xi[k] += row[k]
-					}
+					xi += p
 				default:
-					xt := x[tr.to*K : tr.to*K+K]
-					for k := 0; k < K; k++ {
-						xi[k] += row[k] * xt[k]
-					}
+					xi += p * x[tr.to]
 				}
 			}
-			if fs.hasSelf[i] {
-				for k := 0; k < K; k++ {
-					if self[k] != 0 && !ab[k] {
-						xi[k] /= 1 - self[k]
-					}
-				}
+			if self != 0 {
+				xi /= 1 - self
 			}
-			for k := 0; k < K; k++ {
-				if ab[k] {
-					xi[k] = 0
-				}
-			}
+			x[i] = xi
 			continue
 		}
-		// Cyclic SCC: factorize a dense block of the SCC's own size per
-		// lane point, folding already-solved external contributions into
-		// the right-hand side. Runtime-absorbing members keep an
-		// identity row (x = 0), mirroring the dense path's dropped rows.
+		// Cyclic SCC: factorize a dense block of the SCC's own size,
+		// folding already-solved external contributions into the
+		// right-hand side. Runtime-absorbing members keep an identity row
+		// (x = 0), as markov.Chain drops them from Q.
 		m := len(members)
 		for l, gi := range members {
 			s.sccLocal[gi] = int32(l)
@@ -805,191 +676,49 @@ func (s *session) solveStructured(svc *compiledService, K int, fail, edgeP, x []
 		mat := s.m[:m*m]
 		rhs := s.b[:m]
 		bx := s.blockX[:m]
-		perm := s.perm[:m]
-		for k := 0; k < K; k++ {
-			for j := range mat {
-				mat[j] = 0
+		for j := range mat {
+			mat[j] = 0
+		}
+		for l, gi := range members {
+			i := int(gi)
+			mat[l*m+l] = 1
+			rhs[l] = 0
+			if absorb[i] {
+				continue
 			}
-			for l, gi := range members {
-				i := int(gi)
-				mat[l*m+l] = 1
-				rhs[l] = 0
-				if absorb[i*K+k] {
+			for _, ti := range fs.outEdges[i] {
+				tr := &comp.transitions[ti]
+				p := edgeP[ti]
+				if p == 0 {
 					continue
 				}
-				for _, ti := range fs.outEdges[i] {
-					tr := &comp.transitions[ti]
-					p := edgeP[int(ti)*K+k]
-					if p == 0 {
-						continue
-					}
-					switch {
-					case tr.to < 0:
-						rhs[l] += p
-					case absorb[tr.to*K+k]:
-						// x_to = 0: contributes nothing.
-					case fs.sccOf[tr.to] == int32(c):
-						mat[l*m+int(s.sccLocal[tr.to])] -= p
-					default:
-						rhs[l] += p * x[tr.to*K+k]
-					}
+				switch {
+				case tr.to < 0:
+					rhs[l] += p
+				case absorb[tr.to]:
+					// x_to = 0: contributes nothing.
+				case fs.sccOf[tr.to] == int32(c):
+					mat[l*m+int(s.sccLocal[tr.to])] -= p
+				default:
+					rhs[l] += p * x[tr.to]
 				}
 			}
-			if err := luSolve(mat, rhs, bx, perm, m); err != nil {
-				return fmt.Errorf("core: %s: %w", svc.name, err)
-			}
-			for l, gi := range members {
-				x[int(gi)*K+k] = bx[l]
-			}
+		}
+		if err := luSolve(mat, rhs, bx, s.perm[:m], m); err != nil {
+			return fmt.Errorf("core: %s: %w", svc.name, err)
+		}
+		for l, gi := range members {
+			x[gi] = bx[l]
 		}
 	}
 	return nil
 }
 
-// solveSkeleton solves the augmented absorbing chain for the probability
-// of reaching End from Start with a full dense LU over all transient
-// states, reusing the session workspace. It presents the exact matrix the
-// interpreted path's markov/linalg pipeline would factorize — same
-// transient ordering, same entries — so the two paths agree bitwise. It
-// is the Options.ForceDenseSolve reference path; normal evaluation goes
-// through solveStructured.
-func (s *session) solveSkeleton(svc *compiledService, fail []float64) (float64, error) {
-	comp := svc.comp
-	n := comp.n
-	m := s.m[:n*n]
-	b := s.b[:n]
-	absorb := s.absorb[:n]
-	reach := s.reach[:n]
-	for i := range m {
-		m[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		b[i] = 0
-		absorb[i] = false
-		reach[i] = false
-	}
-
-	const probTol = 1e-9
-	// Classify each slot the way markov.Chain does: a state with no
-	// positive outgoing mass, or a lone self-loop of probability one, is
-	// absorbing and leaves the transient set. Everyone else must have
-	// outgoing mass (edges + failure) summing to one.
-	for i := 0; i < n; i++ {
-		edges := 0
-		selfP := -1.0
-		sum := fail[i]
-		for ti := range comp.transitions {
-			tr := &comp.transitions[ti]
-			if tr.from != i || s.edgeP[ti] == 0 {
-				continue
-			}
-			edges++
-			sum += s.edgeP[ti]
-			if tr.to == i {
-				selfP = s.edgeP[ti]
-			}
-		}
-		if fail[i] > 0 {
-			edges++
-		}
-		if edges == 0 || (edges == 1 && fail[i] == 0 && selfP >= 0 && math.Abs(selfP-1) <= probTol) {
-			// Identity row with b = 0: x_i = 0, exactly the contribution of
-			// a state the interpreted chain drops from Q (absorption
-			// anywhere but End adds nothing to pEnd).
-			absorb[i] = true
-			reach[i] = true
-			m[i*n+i] = 1
-			continue
-		}
-		if math.Abs(sum-1) > probTol {
-			return 0, fmt.Errorf("core: %s: %w: outgoing probabilities of %q sum to %.12g",
-				svc.name, markov.ErrInvalidProbability, s.transientName(comp, i), sum)
-		}
-		m[i*n+i] = 1
-		if fail[i] > 0 {
-			reach[i] = true // the Fail edge reaches an absorbing state
-		}
-	}
-
-	// Fill I - Q and b. Edges out of absorbing slots are dropped (those
-	// states left the transient set); edges into them only mark
-	// reachability, matching the interpreted Q over transient states.
-	for ti := range comp.transitions {
-		tr := &comp.transitions[ti]
-		p := s.edgeP[ti]
-		if p == 0 || absorb[tr.from] {
-			continue
-		}
-		if tr.to < 0 { // End
-			b[tr.from] = p
-			reach[tr.from] = true
-		} else if absorb[tr.to] {
-			reach[tr.from] = true
-		} else {
-			m[tr.from*n+tr.to] -= p
-		}
-	}
-
-	// Propagate reachability backwards to a fixpoint (chains are tiny).
-	for changed := true; changed; {
-		changed = false
-		for ti := range comp.transitions {
-			tr := &comp.transitions[ti]
-			if s.edgeP[ti] == 0 || tr.to < 0 || absorb[tr.from] {
-				continue
-			}
-			if !reach[tr.from] && reach[tr.to] {
-				reach[tr.from] = true
-				changed = true
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !reach[i] {
-			return 0, fmt.Errorf("core: %s: %w: state %q cannot reach an absorbing state",
-				svc.name, markov.ErrNotAbsorbing, s.transientName(comp, i))
-		}
-	}
-
-	if err := s.luSolveInPlace(n); err != nil {
-		return 0, fmt.Errorf("core: %s: %w", svc.name, err)
-	}
-	return clamp01(s.x[0]), nil
-}
-
-// transientName recovers the flow-state name of a transient slot for
-// error messages (never on the hot path).
-func (s *session) transientName(comp *compiledComposite, idx int) string {
-	if idx == 0 {
-		return model.StartState
-	}
-	for i := range comp.states {
-		if comp.states[i].transient == idx {
-			return comp.states[i].name
-		}
-	}
-	for i := range comp.transitions {
-		if comp.transitions[i].from == idx {
-			return comp.transitions[i].fromName
-		}
-		if comp.transitions[i].to == idx {
-			return comp.transitions[i].toName
-		}
-	}
-	return fmt.Sprintf("state#%d", idx)
-}
-
-// luSolveInPlace factorizes the workspace matrix with partial pivoting
-// and solves for s.x — the same elimination linalg.Factorize and LU.Solve
-// perform, run in preallocated scratch.
-func (s *session) luSolveInPlace(n int) error {
-	return luSolve(s.m[:n*n], s.b[:n], s.x[:n], s.perm[:n], n)
-}
-
 // luSolve factorizes the n×n matrix m (row-major, destroyed) with partial
-// pivoting and solves m·x = b into x. perm must hold n entries; b is left
-// untouched. Shared by the dense reference path (whole transient set) and
-// the structured solver's per-SCC blocks.
+// pivoting and solves m·x = b into x — the same elimination
+// linalg.Factorize and LU.Solve perform, run in preallocated scratch.
+// perm must hold n entries; b is left untouched. The structured solver
+// uses it for each cyclic SCC block.
 func luSolve(m, b, x []float64, perm []int, n int) error {
 	for i := range perm {
 		perm[i] = i

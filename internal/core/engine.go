@@ -89,20 +89,6 @@ type Options struct {
 	// to the compiled service value) with the reason. Use Fallbacks for
 	// the running count of interpreted evaluations served since.
 	OnFallback func(service string, reason error)
-	// LaneWidth is the number of parameter points the compiled batch
-	// kernel evaluates per lane (structure-of-arrays, one instruction
-	// pass per expression for the whole lane). 0 picks the default
-	// (DefaultLaneWidth); 1 disables lane vectorization and evaluates
-	// batch points one at a time. Values above MaxLaneWidth are clamped.
-	// Only the compiled engine's PfailBatch / PfailBatchCtx consult it.
-	LaneWidth int
-	// ForceDenseSolve makes the compiled engine solve every augmented
-	// chain with the full dense-LU workspace instead of the
-	// structure-aware solver (DAG forward substitution / per-SCC
-	// blocks). It exists to benchmark and cross-check the fast path;
-	// it also disables lane vectorization. Interpreted evaluation
-	// ignores it.
-	ForceDenseSolve bool
 }
 
 func (o Options) withDefaults() Options {

@@ -193,14 +193,3 @@ func guardPfail(f func() (float64, error)) (p float64, err error) {
 	}()
 	return f()
 }
-
-// guardLane is guardPfail for lane evaluations, which write their results
-// through a caller-provided slice and only report an error.
-func guardLane(f func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return f()
-}

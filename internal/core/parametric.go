@@ -7,7 +7,7 @@
 // up to a configurable state bound eliminate by symbolic Gaussian
 // elimination. Flows outside the closed-form fragment (SCCs above the
 // bound, node-budget blowups, structurally trapped mass) transparently fall
-// back to the numeric lane kernel, observable through ParametricStats.
+// back to the numeric kernel, observable through ParametricStats.
 package core
 
 import (
@@ -1081,10 +1081,10 @@ func (ca *CompiledAssembly) parametricChunk(po *parametricOutput, s *session, pt
 		return true
 	}
 	need := po.arity * k
-	if cap(s.laneArena) < need {
-		s.laneArena = make([]float64, 0, max(need, 64))
+	if cap(s.chunkSlots) < need {
+		s.chunkSlots = make([]float64, 0, max(need, 64))
 	}
-	slots := s.laneArena[:need]
+	slots := s.chunkSlots[:need]
 	for si := 0; si < po.arity; si++ {
 		row := slots[si*k : si*k+k]
 		for kk := 0; kk < k; kk++ {

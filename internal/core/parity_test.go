@@ -1,14 +1,12 @@
 package core
 
-// Randomized cross-engine parity: the lane-vectorized batch kernel, the
-// single-point compiled path, the forced-dense reference solver, and the
-// interpreted engine must agree on arbitrary valid flows — acyclic and
-// cyclic, with absorbing self-loop traps, partial self-loops, and
-// zero-probability edges — not just on the paper's assemblies. The lane
-// and scalar compiled paths share every per-point operation in the same
-// order, so those two are held to bitwise equality; the interpreted and
-// dense paths take different (mathematically equivalent) solve routes and
-// are held to 1e-12.
+// Randomized cross-engine parity: the compiled engine and the interpreted
+// engine (the parity oracle) must agree on arbitrary valid flows — acyclic
+// and cyclic, with absorbing self-loop traps, partial self-loops, and
+// zero-probability edges — not just on the paper's assemblies. The two
+// take different (mathematically equivalent) solve routes and are held to
+// 1e-12. PfailBatch runs each point through the single-point kernel, so a
+// batch is held to bitwise equality with Pfail.
 
 import (
 	"fmt"
@@ -184,9 +182,9 @@ func randomFlowAssembly(rng *rand.Rand) (*assembly.Assembly, error) {
 }
 
 // TestRandomFlowParity is the cross-engine property test: on 60 random
-// assemblies and a non-uniform batch grid, the four evaluation paths must
-// agree — lane vs compiled-scalar bitwise, everything vs interpreted and
-// forced-dense within 1e-12.
+// assemblies and a non-uniform batch grid, compiled Pfail must match the
+// interpreted engine within 1e-12 at every point, and PfailBatch (on a
+// non-uniform and a uniform grid) must match single-point Pfail bitwise.
 func TestRandomFlowParity(t *testing.T) {
 	const tol = 1e-12
 	var sawCyclic, sawSelf, sawDAG int
@@ -196,16 +194,16 @@ func TestRandomFlowParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: build: %v", seed, err)
 		}
-		caLane, err := Compile(asm, Options{}, "root")
+		ca, err := Compile(asm, Options{}, "root")
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
 		// The test being in-package, audit the compiled structure so a
 		// generator regression cannot silently stop covering the solver's
 		// branches.
-		for i := range caLane.services {
-			comp := caLane.services[i].comp
-			if comp == nil || caLane.services[i].name != "root" {
+		for i := range ca.services {
+			comp := ca.services[i].comp
+			if comp == nil || ca.services[i].name != "root" {
 				continue
 			}
 			if comp.structure.maxSCC > 1 {
@@ -213,77 +211,60 @@ func TestRandomFlowParity(t *testing.T) {
 			} else {
 				sawDAG++
 			}
-			for _, h := range comp.structure.hasSelf {
-				if h {
+			for _, tr := range comp.transitions {
+				if tr.to == tr.from && !(tr.isConst && tr.constVal == 0) {
 					sawSelf++
 					break
 				}
 			}
 		}
-		caScalar, err := Compile(asm, Options{LaneWidth: 1}, "root")
-		if err != nil {
-			t.Fatalf("seed %d: compile scalar: %v", seed, err)
-		}
-		caDense, err := Compile(asm, Options{ForceDenseSolve: true}, "root")
-		if err != nil {
-			t.Fatalf("seed %d: compile dense: %v", seed, err)
-		}
 		interp := New(asm, Options{})
 
-		xs := make([]float64, 11) // not a multiple of the lane width
+		xs := make([]float64, 11) // not a multiple of the batch chunk
 		sets := make([][]float64, len(xs))
+		single := make([]float64, len(xs))
 		for j := range xs {
 			xs[j] = 1 + 37*float64(j) + rng.Float64()
 			sets[j] = []float64{xs[j]}
+			// Single points first: the memo admits a key on its second
+			// visit, so the batch below computes every point afresh.
+			if single[j], err = ca.Pfail("root", xs[j]); err != nil {
+				t.Fatalf("seed %d: compiled x=%g: %v", seed, xs[j], err)
+			}
 		}
-		batch, err := caLane.PfailBatch("root", sets)
+		batch, err := ca.PfailBatch("root", sets)
 		if err != nil {
 			t.Fatalf("seed %d: batch: %v", seed, err)
 		}
 		for j, x := range xs {
-			scalar, err := caScalar.Pfail("root", x)
-			if err != nil {
-				t.Fatalf("seed %d: scalar x=%g: %v", seed, x, err)
-			}
-			if batch[j] != scalar {
-				t.Errorf("seed %d x=%g: lane %v != scalar %v (want bitwise equality)", seed, x, batch[j], scalar)
-			}
-			dense, err := caDense.Pfail("root", x)
-			if err != nil {
-				t.Fatalf("seed %d: dense x=%g: %v", seed, x, err)
-			}
-			if math.Abs(scalar-dense) > tol {
-				t.Errorf("seed %d x=%g: scalar %v vs dense %v, |diff| = %g", seed, x, scalar, dense, math.Abs(scalar-dense))
+			if batch[j] != single[j] {
+				t.Errorf("seed %d x=%g: batch %v != Pfail %v (want bitwise equality)", seed, x, batch[j], single[j])
 			}
 			iv, err := interp.Pfail("root", x)
 			if err != nil {
 				t.Fatalf("seed %d: interpreted x=%g: %v", seed, x, err)
 			}
-			if math.Abs(scalar-iv) > tol {
-				t.Errorf("seed %d x=%g: scalar %v vs interpreted %v, |diff| = %g", seed, x, scalar, iv, math.Abs(scalar-iv))
+			if math.Abs(single[j]-iv) > tol {
+				t.Errorf("seed %d x=%g: compiled %v vs interpreted %v, |diff| = %g", seed, x, single[j], iv, math.Abs(single[j]-iv))
 			}
 			if p := batch[j]; p < 0 || p > 1 || math.IsNaN(p) {
 				t.Errorf("seed %d x=%g: Pfail %v escapes [0,1]", seed, x, p)
 			}
 		}
 
-		// A uniform batch (all points identical) exercises the lane
-		// collapse path and must match the scalar value exactly too.
+		// A uniform batch (all points identical) must match the
+		// single-point value exactly too.
 		uni := make([][]float64, 8)
 		for j := range uni {
 			uni[j] = []float64{xs[0]}
 		}
-		ub, err := caLane.PfailBatch("root", uni)
+		ub, err := ca.PfailBatch("root", uni)
 		if err != nil {
 			t.Fatalf("seed %d: uniform batch: %v", seed, err)
 		}
-		want, err := caScalar.Pfail("root", xs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
 		for j, p := range ub {
-			if p != want {
-				t.Errorf("seed %d: uniform batch point %d: %v != %v", seed, j, p, want)
+			if p != single[0] {
+				t.Errorf("seed %d: uniform batch point %d: %v != %v", seed, j, p, single[0])
 			}
 		}
 	}

@@ -29,11 +29,6 @@ type flowStructure struct {
 	sccOf    []int32
 	sccStart []int32
 
-	// hasSelf marks states with a (not structurally zero) self-loop
-	// transition; singleton SCCs with a self-loop solve by the
-	// geometric-series division instead of plain forward substitution.
-	hasSelf []bool
-
 	// maxSCC is the largest SCC's state count. 1 means the transient
 	// graph is acyclic up to self-loops: the pure forward-substitution
 	// fast path applies and the not-absorbing reachability check is
@@ -52,7 +47,6 @@ func analyzeStructure(comp *compiledComposite) *flowStructure {
 	st := &flowStructure{
 		outEdges: make([][]int32, n),
 		sccOf:    make([]int32, n),
-		hasSelf:  make([]bool, n),
 	}
 	// adjacency over transient states for the SCC pass.
 	adj := make([][]int32, n)
@@ -63,7 +57,6 @@ func analyzeStructure(comp *compiledComposite) *flowStructure {
 			continue
 		}
 		if tr.to == tr.from {
-			st.hasSelf[tr.from] = true
 			continue // self-loops are handled per state, not as SCC edges
 		}
 		adj[tr.from] = append(adj[tr.from], int32(tr.to))

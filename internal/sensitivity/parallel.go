@@ -13,15 +13,15 @@ import (
 // the sweep fanning single-point closures out over goroutines, the
 // implementation receives every point at once and brings its own
 // evaluation strategy — CompiledBatch routes the grid through
-// core.PfailBatchCtx, whose lane-vectorized kernel and worker pool are
-// where sweep parallelism now lives.
+// core.PfailBatchCtx, whose worker pool is where sweep parallelism now
+// lives.
 type BatchFunc func(ctx context.Context, xs []float64) ([]float64, error)
 
 // CompiledBatch adapts a compiled service to a BatchFunc sweeping Pfail:
 // frame maps the swept scalar to the service's full actual-parameter list
 // (e.g. the list size into (user, list, q)). The returned BatchFunc hands
 // the whole grid to core.PfailBatchCtx in one call, so the sweep gets the
-// lane-vectorized batch kernel, its memo, and its worker pool.
+// batch kernel, its memo, and its worker pool.
 func CompiledBatch(ca *core.CompiledAssembly, service string, frame func(x float64) []float64) BatchFunc {
 	return func(ctx context.Context, xs []float64) ([]float64, error) {
 		sets := make([][]float64, len(xs))

@@ -87,8 +87,8 @@ type UncertaintyResult struct {
 // call, returning ys[i] for envs[i]. It is the Monte Carlo counterpart of
 // BatchFunc: the study draws every sample up front and hands the whole
 // batch to the implementation, so a compiled study target (see
-// CompiledParamBatch) evaluates all draws through core.PfailBatchCtx's
-// lane-vectorized kernel instead of one solve per draw.
+// CompiledParamBatch) evaluates all draws in one core.PfailBatchCtx call
+// instead of one evaluation call per draw.
 type BatchParamFunc func(ctx context.Context, envs []map[string]float64) ([]float64, error)
 
 // CompiledParamBatch adapts a compiled service to a BatchParamFunc: frame

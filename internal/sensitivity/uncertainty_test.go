@@ -115,8 +115,8 @@ func TestUncertaintyDeterministicSeed(t *testing.T) {
 // TestUncertaintyBatchCompiled routes a Monte Carlo study whose uncertain
 // input is a formal parameter (the list-size workload) through the
 // compiled batch kernel and requires bitwise agreement with the generic
-// per-sample path: same seed, same draws, and the lane kernel is
-// bit-identical to scalar evaluation.
+// per-sample path: same seed, same draws, and each batch point is
+// bit-identical to a single-point evaluation.
 func TestUncertaintyBatchCompiled(t *testing.T) {
 	asm, err := assembly.RemoteAssembly(assembly.DefaultPaperParams())
 	if err != nil {

@@ -455,7 +455,7 @@ func Sweep(name string, xs []float64, f func(x float64) (float64, error)) (Serie
 // SweepParallel evaluates f over xs (points in xs order in the result)
 // with per-point panic isolation. For parallel throughput, sweep a
 // compiled service through SweepBatch + CompiledBatch instead: the batch
-// kernel owns the worker pool and the lane-vectorized solver.
+// kernel owns the worker pool.
 func SweepParallel(name string, xs []float64, f func(x float64) (float64, error)) (Series, error) {
 	return sensitivity.SweepParallel(name, xs, f)
 }
@@ -483,8 +483,8 @@ func SweepBatchCtx(ctx context.Context, name string, xs []float64, bf BatchFunc)
 
 // CompiledBatch adapts a compiled service to a BatchFunc sweeping Pfail:
 // frame maps the swept scalar to the service's actual parameters. The
-// grid is evaluated by one PfailBatch call through the lane-vectorized
-// kernel.
+// grid is evaluated by one PfailBatch call (closed-form chunks for a
+// parametric compile, the numeric kernel otherwise).
 func CompiledBatch(ca *CompiledAssembly, service string, frame func(x float64) []float64) BatchFunc {
 	return sensitivity.CompiledBatch(ca, service, frame)
 }
