@@ -202,6 +202,17 @@ func (d *dispatchEval) PfailCtx(ctx context.Context, service string, params ...f
 	return eval.PfailCtx(ctx, service, params...)
 }
 
+// Inline forwards the inline fast path: a request is evaluated on the
+// caller's goroutine exactly when the evaluator it selected would be.
+func (d *dispatchEval) Inline(ctx context.Context, service string) bool {
+	eval, err := d.resolve(ctx)
+	if err != nil {
+		return false
+	}
+	ie, ok := eval.(server.InlineEvaluator)
+	return ok && ie.Inline(ctx, service)
+}
+
 // PfailBatchCtx keeps the batch fast path: when the effective evaluator
 // has a batch kernel it is used directly, otherwise the server's
 // per-point fallback takes over.

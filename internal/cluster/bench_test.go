@@ -1,11 +1,14 @@
 package cluster_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
+	"socrel/internal/assembly"
 	"socrel/internal/cluster"
+	"socrel/internal/core"
 	"socrel/internal/estimate"
 	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
@@ -65,4 +68,63 @@ func BenchmarkGossipRound(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFleetServe times one single-point request into a 3-replica
+// fleet serving the paper's remote assembly compiled to closed forms,
+// shaped like relfleet: real clock, default hedging, every outcome fed
+// to the replica's estimator, no background gossip. "local" enters at
+// the replica that owns each point and "forwarded" at one that does
+// not, so it adds one hop over LocalTransport and a read-repair;
+// "round-robin" is Fleet.Serve itself, which picks the entry replica
+// (about 2/3 of its requests are forwarded).
+func BenchmarkFleetServe(b *testing.B) {
+	asm, err := assembly.RemoteAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ca, err := core.CompileParametric(asm, core.Options{}, core.ParametricOptions{}, "search")
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := cluster.NewFleet(cluster.FleetConfig{
+		Replicas:     3,
+		Server:       server.Config{Service: "search"},
+		NewEvaluator: func(string) server.Evaluator { return ca },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Stop()
+	entry := f.Nodes()[0]
+	// 32 points owned by the entry replica and 32 owned by a peer.
+	var local, forwarded, mixed []server.Request
+	for list := 1024.0; len(local) < 32 || len(forwarded) < 32; list += 64 {
+		req := server.Request{Service: "search", Params: []float64{1, list, 1}}
+		owner, _ := entry.Owner(req)
+		if owner == entry.ID() {
+			if len(local) < 32 {
+				local = append(local, req)
+			}
+		} else if len(forwarded) < 32 {
+			forwarded = append(forwarded, req)
+		}
+	}
+	mixed = append(append(mixed, local...), forwarded...)
+	ctx := context.Background()
+	run := func(b *testing.B, reqs []server.Request, serve func(context.Context, server.Request) socruntime.Answer) {
+		for _, r := range reqs { // warm every replica's stale store
+			serve(ctx, r)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ans := serve(ctx, reqs[i%len(reqs)]); ans.Err != nil {
+				b.Fatal(ans.Err)
+			}
+		}
+	}
+	b.Run("local", func(b *testing.B) { run(b, local, entry.Serve) })
+	b.Run("forwarded", func(b *testing.B) { run(b, forwarded, entry.Serve) })
+	b.Run("round-robin", func(b *testing.B) { run(b, mixed, f.Serve) })
 }

@@ -61,6 +61,7 @@ type Fleet struct {
 
 	mu       sync.Mutex
 	nodes    []*Node // creation order; killed replicas stay, marked stopped
+	live     []*Node // nodes minus killed, creation order; replaced, never mutated
 	byID     map[string]*Node
 	killed   map[string]bool
 	restarts int // lifetime Restart count, offsets restarted-node seeds
@@ -166,6 +167,7 @@ func (f *Fleet) addNodeLocked(id string, seeds []string, seedOffset int64) (*Nod
 	}
 	f.nodes = append(f.nodes, n)
 	f.byID[id] = n
+	f.refreshLiveLocked()
 	return n, nil
 }
 
@@ -192,24 +194,29 @@ func (f *Fleet) Nodes() []*Node {
 func (f *Fleet) Live() []*Node {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.liveLocked()
+	return append([]*Node(nil), f.live...)
 }
 
-func (f *Fleet) liveLocked() []*Node {
-	out := make([]*Node, 0, len(f.nodes))
+// refreshLiveLocked rebuilds the live roster after a membership change.
+// It builds a new slice rather than editing the old one, so a reader
+// holding the old roster never sees it change.
+func (f *Fleet) refreshLiveLocked() {
+	live := make([]*Node, 0, len(f.nodes))
 	for _, n := range f.nodes {
 		if !f.killed[n.ID()] {
-			out = append(out, n)
+			live = append(live, n)
 		}
 	}
-	return out
+	f.live = live
 }
 
 // Serve routes one request into the fleet through a round-robin choice
 // of live entry replica — the entry replica then owns the at-most-one-
 // hop routing decision. With no live replicas the answer is Unavailable.
 func (f *Fleet) Serve(ctx context.Context, req server.Request) socruntime.Answer {
-	live := f.Live()
+	f.mu.Lock()
+	live := f.live
+	f.mu.Unlock()
 	if len(live) == 0 {
 		return unavailableAnswer("fleet")
 	}
@@ -240,6 +247,7 @@ func (f *Fleet) Kill(id string) bool {
 		return false
 	}
 	f.killed[id] = true
+	f.refreshLiveLocked()
 	f.mu.Unlock()
 	n.Stop()
 	f.transport.Deregister(id)
@@ -262,7 +270,7 @@ func (f *Fleet) Restart(id string) (*Node, error) {
 		return nil, fmt.Errorf("cluster: Restart(%q): replica is live", id)
 	}
 	seeds := make([]string, 0, len(f.nodes)+1)
-	for _, n := range f.liveLocked() {
+	for _, n := range f.live {
 		seeds = append(seeds, n.ID())
 	}
 	seeds = append(seeds, id) // rejoin its own ring slot immediately
@@ -284,6 +292,7 @@ func (f *Fleet) Restart(id string) (*Node, error) {
 	}
 	f.byID[id] = n
 	delete(f.killed, id)
+	f.refreshLiveLocked()
 	return n, nil
 }
 
@@ -294,7 +303,7 @@ func (f *Fleet) AddReplica() (*Node, error) {
 	defer f.mu.Unlock()
 	id := fmt.Sprintf("replica-%d", len(f.nodes))
 	seeds := make([]string, 0, len(f.nodes))
-	for _, n := range f.liveLocked() {
+	for _, n := range f.live {
 		seeds = append(seeds, n.ID())
 	}
 	return f.addNodeLocked(id, seeds, int64(len(f.nodes)))

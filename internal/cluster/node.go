@@ -270,28 +270,28 @@ func (n *Node) Serve(ctx context.Context, req server.Request) socruntime.Answer 
 		return unavailableAnswer(n.cfg.ID)
 	}
 	owner, ok := n.ring.Owner(key)
-	ownerAlive := false
-	if ok && owner != n.cfg.ID {
-		if m := n.members[owner]; m != nil && m.state != Dead {
-			ownerAlive = true
-		}
+	if !ok || owner == n.cfg.ID {
+		n.stats.ServedLocal++
+		n.mu.Unlock()
+		return n.srv.Serve(ctx, req)
+	}
+	if m := n.members[owner]; m == nil || m.state == Dead {
+		n.stats.ServedForDead++
+		n.mu.Unlock()
+		return n.srv.Serve(ctx, req)
 	}
 	n.mu.Unlock()
 
-	if !ok || owner == n.cfg.ID {
-		n.bump(func(s *NodeStats) { s.ServedLocal++ })
-		return n.srv.Serve(ctx, req)
-	}
-	if !ownerAlive {
-		n.bump(func(s *NodeStats) { s.ServedForDead++ })
-		return n.srv.Serve(ctx, req)
-	}
 	ans, err := n.transport.Forward(ctx, n.cfg.ID, owner, req)
 	if err != nil {
-		n.bump(func(s *NodeStats) { s.ForwardFailed++ })
+		n.mu.Lock()
+		n.stats.ForwardFailed++
+		n.mu.Unlock()
 		return n.srv.Serve(ctx, req)
 	}
-	n.bump(func(s *NodeStats) { s.Forwarded++ })
+	n.mu.Lock()
+	n.stats.Forwarded++
+	n.mu.Unlock()
 	n.readRepair(req, ans)
 	return ans
 }
@@ -309,7 +309,9 @@ func (n *Node) readRepair(req server.Request, ans socruntime.Answer) {
 	}
 	lg := socruntime.LastGood{Pfail: ans.Pfail, Provider: ans.Provider, At: ans.AsOf}
 	if n.srv.RepairSnapshot(req.Scope, req.Service, req.Params, lg) {
-		n.bump(func(s *NodeStats) { s.ReadRepaired++ })
+		n.mu.Lock()
+		n.stats.ReadRepaired++
+		n.mu.Unlock()
 	}
 }
 
@@ -360,17 +362,21 @@ func (n *Node) HandleRumor(r Rumor) {
 	// Merge outside the node lock: MergeCheckpoint takes the
 	// estimator's lock and may fire its OnDrift callback, and neither
 	// should ever be ordered after node.mu.
+	var mergeErr error
 	if len(r.Estimates) > 0 {
-		if err := n.est.MergeCheckpoint(r.Estimates); err != nil {
-			// Valid snapshots merged; the rejects stay the sender's
-			// problem. The version vector still advances — replaying the
-			// same bad snapshot next round would not fix it.
-			n.bump(func(s *NodeStats) { s.BadEstimates++ })
-		} else {
-			n.bump(func(s *NodeStats) { s.EstimatesMerged++ })
-		}
+		mergeErr = n.est.MergeCheckpoint(r.Estimates)
 	}
 	n.mu.Lock()
+	if len(r.Estimates) > 0 {
+		if mergeErr != nil {
+			// Valid snapshots merged; the rejects stay the sender's
+			// problem. The version vector still advances — replaying
+			// the same bad snapshot next round would not fix it.
+			n.stats.BadEstimates++
+		} else {
+			n.stats.EstimatesMerged++
+		}
+	}
 	mergeVV(n.vv, r.EvidenceVV)
 	n.stats.EvidenceMerged++
 	n.mu.Unlock()
@@ -488,6 +494,7 @@ func (n *Node) GossipRound() {
 		}
 	}
 	hb := self.heartbeat
+	n.stats.RumorsSent += uint64(len(targets))
 	n.mu.Unlock()
 
 	r := Rumor{
@@ -500,16 +507,6 @@ func (n *Node) GossipRound() {
 	for _, to := range targets {
 		n.transport.Gossip(n.cfg.ID, to, r)
 	}
-	if len(targets) > 0 {
-		sent := uint64(len(targets))
-		n.bump(func(s *NodeStats) { s.RumorsSent += sent })
-	}
-}
-
-func (n *Node) bump(f func(*NodeStats)) {
-	n.mu.Lock()
-	f(&n.stats)
-	n.mu.Unlock()
 }
 
 func unavailableAnswer(id string) socruntime.Answer {

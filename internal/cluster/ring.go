@@ -127,7 +127,8 @@ const paramRegionMask = ^uint64(1<<40 - 1)
 // the same request, which is what makes at-most-one-hop forwarding
 // sufficient.
 func RouteKey(scope, service string, params []float64) string {
-	b := make([]byte, 0, len(scope)+1+len(service)+1+3*len(params))
+	var buf [64]byte // a typical key renders on the stack
+	b := buf[:0]
 	b = append(b, scope...)
 	b = append(b, 0)
 	b = append(b, service...)

@@ -36,6 +36,18 @@ const memoShardCap = 1 << 13
 // keeping the structure-of-arrays scratch inside L1.
 const batchChunk = 8
 
+// PfailBatchCtx fans a batch out to several workers only when each gets
+// at least this many points, as measured at -cpu 2 on the paper's remote
+// assembly (BENCH_core.json): below it, starting the workers and waking
+// a second P costs more than the points they split. A closed-form point
+// costs ~0.2 us and a numeric one ~2 us, so the closed-form floor is the
+// higher: two workers first beat one at about 512 closed-form points and
+// 64 numeric points per batch.
+const (
+	minWorkerPointsNumeric    = 32
+	minWorkerPointsClosedForm = 256
+)
+
 // doorkeeperSlots sizes each shard's admission filter (1 KiB per shard).
 const doorkeeperSlots = 1 << 10
 
@@ -214,7 +226,9 @@ func (ca *CompiledAssembly) PfailBatch(service string, paramSets [][]float64) ([
 // into the taxonomy).
 //
 // Points are handed out in chunks of batchChunk to up to GOMAXPROCS
-// workers. A root with a closed form evaluates a chunk in one
+// workers, each with at least minWorkerPointsNumeric (on a closed-form
+// root, minWorkerPointsClosedForm) points; a smaller batch runs on the
+// caller's goroutine. A root with a closed form evaluates a chunk in one
 // structure-of-arrays pass (expr.EvalLane); a chunk the closed form cannot
 // serve, and every chunk of a numeric root, runs point by point through
 // the single-point kernel. Either way each result is bit-identical to
@@ -280,7 +294,11 @@ func (ca *CompiledAssembly) PfailBatchCtx(ctx context.Context, service string, p
 			out[i] = p
 		}
 	}
-	workers := min(runtime.GOMAXPROCS(0), numChunks)
+	floor := minWorkerPointsNumeric
+	if po != nil {
+		floor = minWorkerPointsClosedForm
+	}
+	workers := min(runtime.GOMAXPROCS(0), numChunks, len(paramSets)/floor)
 	if workers <= 1 {
 		s := ca.pool.Get().(*session)
 		defer ca.pool.Put(s)

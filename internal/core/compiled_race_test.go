@@ -63,41 +63,53 @@ func TestCompiledConcurrentBitIdentical(t *testing.T) {
 }
 
 // TestCompiledBatchConcurrent runs PfailBatch (itself parallel) from
-// several goroutines at once and checks agreement with serial Pfail.
+// several goroutines at once and checks agreement with serial Pfail, on
+// a numeric and a closed-form compile. The grid is large enough to clear
+// both fan-out floors, so with GOMAXPROCS >= 2 every batch runs on
+// several workers.
 func TestCompiledBatchConcurrent(t *testing.T) {
 	const goroutines = 8
 	asm := paperAssemblies(t, 1e-6, 1e-1)["remote"]
-	ca, err := Compile(asm, Options{}, "search")
+	numeric, err := Compile(asm, Options{}, "search")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sets [][]float64
-	for _, list := range paperLists() {
-		sets = append(sets, []float64{1, list, 1})
-	}
-	want, err := ca.PfailBatch("search", sets)
+	closed, err := CompileParametric(asm, Options{}, ParametricOptions{}, "search")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := ca.PfailBatch("search", sets)
-			if err != nil {
-				t.Error(err)
-				return
+	lists := paperLists()
+	sets := make([][]float64, 2*minWorkerPointsClosedForm+3)
+	for i := range sets {
+		sets[i] = []float64{1, lists[i%len(lists)] + float64(i), 1}
+	}
+	for name, ca := range map[string]*CompiledAssembly{"numeric": numeric, "closed-form": closed} {
+		want := make([]float64, len(sets))
+		for i, ps := range sets {
+			if want[i], err = ca.Pfail("search", ps...); err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("batch point %d: %.17g != %.17g", i, got[i], want[i])
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := ca.PfailBatch("search", sets)
+				if err != nil {
+					t.Error(err)
 					return
 				}
-			}
-		}()
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("%s batch point %d: %.17g != %.17g", name, i, got[i], want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestEvaluatorSweepStaysDeterministic pins the seed-compat contract: an

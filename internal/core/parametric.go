@@ -11,6 +11,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -159,6 +160,18 @@ func (ca *CompiledAssembly) ParametricFallbacks() map[string]error {
 		out[k] = v
 	}
 	return out
+}
+
+// Inline reports whether service is a root compiled to a closed form, so
+// that one evaluation is a sub-microsecond, allocation-free expression
+// evaluation that does no I/O and cannot block. The serving layer runs
+// such evaluations on the caller's goroutine (server.InlineEvaluator). A
+// root that fell back to the numeric kernel at compile time, a
+// non-root service and an unknown one report false. ctx is unused: the
+// answer is a property of the compiled artifact.
+func (ca *CompiledAssembly) Inline(_ context.Context, service string) bool {
+	idx, ok := ca.byName[service]
+	return ok && ca.parametric[idx] != nil
 }
 
 // ClosedForm returns the rendered closed-form Pfail expression of a root

@@ -3,7 +3,7 @@ package server
 import (
 	"errors"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"socrel/internal/core"
@@ -120,13 +120,15 @@ func (l *aimdLimiter) observe(latency time.Duration, err error) {
 
 // latencyDigest tracks the observed service time two ways: an EWMA used
 // as the admission controller's service-time estimate, and a sliding
-// window of recent samples for the p95 that paces request hedging.
+// window of recent samples for the p95 that paces request hedging. The
+// window is kept twice: in arrival order (ring, to know which sample a
+// new one evicts) and ascending (sorted, so the p95 is an index read).
 type latencyDigest struct {
 	alpha    float64
 	estimate time.Duration
 	ring     []time.Duration
+	sorted   []time.Duration // the n samples of ring, ascending
 	n, idx   int
-	scratch  []time.Duration
 }
 
 func newLatencyDigest(initial time.Duration, alpha float64, window int) *latencyDigest {
@@ -143,21 +145,39 @@ func newLatencyDigest(initial time.Duration, alpha float64, window int) *latency
 		alpha:    alpha,
 		estimate: initial,
 		ring:     make([]time.Duration, window),
-		scratch:  make([]time.Duration, 0, window),
+		sorted:   make([]time.Duration, window),
 	}
 }
 
 // observe folds one successful evaluation's latency into the digest.
+// Keeping the window sorted costs at most two binary searches and one
+// memmove of the samples between the evicted one and the new one.
 func (d *latencyDigest) observe(lat time.Duration) {
 	if lat < 0 {
 		lat = 0
 	}
 	d.estimate = time.Duration((1-d.alpha)*float64(d.estimate) + d.alpha*float64(lat))
+	s := d.sorted[:d.n]
+	j, _ := slices.BinarySearch(s, lat) // s[:j] < lat <= s[j:]
+	if d.n < len(d.ring) {
+		// Still filling: shift s[j:] up one.
+		copy(d.sorted[j+1:d.n+1], s[j:])
+		d.sorted[j] = lat
+		d.n++
+	} else {
+		// Full: the evicted sample's slot i closes as lat's opens, so
+		// only the samples between them move, toward i.
+		i, _ := slices.BinarySearch(s, d.ring[d.idx])
+		if j > i {
+			copy(s[i:j-1], s[i+1:j])
+			s[j-1] = lat
+		} else {
+			copy(s[j+1:i+1], s[j:i])
+			s[j] = lat
+		}
+	}
 	d.ring[d.idx] = lat
 	d.idx = (d.idx + 1) % len(d.ring)
-	if d.n < len(d.ring) {
-		d.n++
-	}
 }
 
 // p95 returns the 95th percentile of the recent-latency window, falling
@@ -166,8 +186,6 @@ func (d *latencyDigest) p95() time.Duration {
 	if d.n == 0 {
 		return d.estimate
 	}
-	s := append(d.scratch[:0], d.ring[:d.n]...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	k := (95*len(s)+99)/100 - 1 // ceil rank: the sample ≥ 95% of the window
-	return s[k]
+	k := (95*d.n+99)/100 - 1 // ceil rank: the sample ≥ 95% of the window
+	return d.sorted[k]
 }

@@ -19,6 +19,16 @@
 //     duplicate on a second pooled session after a p95-based delay, and
 //     the loser is canceled.
 //
+// An evaluation runs on a goroutine of its own, under a cancel context
+// that a clock-driven watcher cancels at the deadline, so the hedge and
+// the deadline can act on it. An evaluator implementing InlineEvaluator
+// opts a request out of that machinery: core.CompiledAssembly does for
+// a root compiled to a closed form, whose ~0.2 µs in-process
+// evaluation no hedge can beat and no watcher needs to interrupt. Such
+// a request keeps admission, its limiter slot, the latency feeds, the
+// stale store and its outcome, but evaluates on the caller's goroutine.
+// Numeric and interpreted evaluators keep the goroutine path.
+//
 // Every request gets a tagged runtime.Answer instead of a silent
 // timeout: as saturation deepens the ladder downgrades Exact → Stale
 // (the per-point snapshot of the last exact answer) → Bounded (a
@@ -46,6 +56,22 @@ import (
 // *core.Evaluator both satisfy it.
 type Evaluator interface {
 	PfailCtx(ctx context.Context, service string, params ...float64) (float64, error)
+}
+
+// InlineEvaluator is the optional inline fast path. An evaluator
+// implements it to report, per request, that evaluating service is a
+// sub-microsecond in-memory computation that does no I/O and cannot
+// block: core.CompiledAssembly reports true for a root it compiled to a
+// closed form. Such a request keeps admission, its limiter slot and
+// every stat and outcome, but runs on the caller's goroutine with no
+// evaluation goroutine, cancel context, deadline watcher or hedge. A
+// hedge cannot help it: the duplicate would re-run the same
+// deterministic computation in the same process, and the timer, the
+// goroutine and the channel around it cost more than the evaluation.
+// ctx is the request's context, so a dispatching evaluator can ask the
+// evaluator the request selects.
+type InlineEvaluator interface {
+	Inline(ctx context.Context, service string) bool
 }
 
 // BatchEvaluator is the optional batch fast path; when the backend
@@ -230,9 +256,10 @@ type Stats struct {
 // Server is the admission-controlled prediction front end. Methods are
 // safe for concurrent use by any number of goroutines.
 type Server struct {
-	cfg   Config
-	clock socruntime.Clock
-	eval  Evaluator
+	cfg    Config
+	clock  socruntime.Clock
+	eval   Evaluator
+	inline InlineEvaluator // eval's inline fast path, nil if it has none
 
 	mu       sync.Mutex
 	queue    *admissionQueue
@@ -297,10 +324,12 @@ func New(eval Evaluator, cfg Config) *Server {
 		}
 	}
 	cfg.Hedge = cfg.Hedge.withDefaults()
+	inline, _ := eval.(InlineEvaluator)
 	return &Server{
 		cfg:     cfg,
 		clock:   cfg.Clock,
 		eval:    eval,
+		inline:  inline,
 		queue:   newAdmissionQueue(cfg.QueueCapacity, cfg.LIFODepth),
 		limiter: newLimiter(cfg.Limiter),
 		lat:     newLatencyDigest(cfg.InitialEstimate, cfg.EstimateDecay, 0),
@@ -390,8 +419,15 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 	}
 
 	// We hold one in-flight slot.
+	inline := s.inline != nil && s.inline.Inline(ctx, service)
 	start := s.clock.Now()
-	p, err := s.evalHedged(ctx, service, req.Params, deadline)
+	var p float64
+	var err error
+	if inline {
+		p, err = s.evalInline(ctx, service, req.Params, deadline, start)
+	} else {
+		p, err = s.evalHedged(ctx, service, req.Params, deadline)
+	}
 	end := s.clock.Now()
 
 	s.mu.Lock()
@@ -771,6 +807,22 @@ func (s *Server) degradeBatchLocked(out []socruntime.Answer, scope, service stri
 	}
 }
 
+// errDeadlinePassed is an inline evaluation's answer to a deadline that
+// passed before it could start: the ErrCanceled class the goroutine path
+// reports once its deadline watcher has canceled the evaluation.
+var errDeadlinePassed = fmt.Errorf("%w: %w", core.ErrCanceled, context.DeadlineExceeded)
+
+// evalInline evaluates on the caller's goroutine (see InlineEvaluator).
+// The deadline is checked once, before the evaluation: like the
+// goroutine path, which waits for a started evaluation to finish, an
+// evaluation that completes is exact.
+func (s *Server) evalInline(ctx context.Context, service string, params []float64, deadline, now time.Time) (float64, error) {
+	if !deadline.IsZero() && !now.Before(deadline) {
+		return 0, errDeadlinePassed
+	}
+	return s.eval.PfailCtx(ctx, service, params...)
+}
+
 // evalBatch runs the grid through the backend's batch kernel when it has
 // one, falling back to a per-point loop with cancellation checks at
 // every point boundary.
@@ -835,8 +887,11 @@ func (s *Server) deadlineCtx(ctx context.Context, deadline time.Time) (evalCtx c
 }
 
 // snapshotKey renders (scope, service, params) into the stale-store key.
+// A typical key is rendered on the stack, so the string is the only
+// allocation.
 func snapshotKey(scope, service string, params []float64) string {
-	b := make([]byte, 0, len(scope)+1+len(service)+1+8*len(params))
+	var buf [64]byte
+	b := buf[:0]
 	b = append(b, scope...)
 	b = append(b, 0)
 	b = append(b, service...)
