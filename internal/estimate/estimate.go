@@ -243,6 +243,9 @@ type Estimator struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	stats   Stats
+	// fails is estimateLocked's failure-exposure scratch, reused under mu
+	// so a fit allocates nothing.
+	fails []expGroup
 }
 
 // New returns an Estimator for the given configuration.
@@ -439,12 +442,13 @@ func (e *Estimator) estimateLocked(en *entry) (Estimate, bool) {
 		start = en.ringPos
 	}
 	var (
-		failExp  []float64
 		succExp  float64
 		count    int
+		failures int
 		exposure float64
 		latency  time.Duration
 	)
+	fails := e.fails[:0]
 	for i := 0; i < en.ringLen; i++ {
 		o := en.ring[(start+i)%len(en.ring)]
 		if !cutoff.IsZero() && o.at.Before(cutoff) {
@@ -454,20 +458,22 @@ func (e *Estimator) estimateLocked(en *entry) (Estimate, bool) {
 		exposure += o.exposure
 		latency += o.latency
 		if o.failed {
-			failExp = append(failExp, o.exposure)
+			failures++
+			fails = append(fails, expGroup{t: o.exposure, n: 1})
 		} else {
 			succExp += o.exposure
 		}
 	}
-	rate, lo, hi, ok := fitRate(failExp, succExp, e.cfg.Confidence)
+	e.fails = fails
+	rate, lo, hi, ok := fitRate(groupExposures(fails), succExp, e.cfg.Confidence)
 	if !ok {
-		return Estimate{Failures: len(failExp), Observations: count, Exposure: exposure}, false
+		return Estimate{Failures: failures, Observations: count, Exposure: exposure}, false
 	}
 	est := Estimate{
 		Rate:         rate,
 		Lo:           lo,
 		Hi:           hi,
-		Failures:     len(failExp),
+		Failures:     failures,
 		Observations: count,
 		Exposure:     exposure,
 	}

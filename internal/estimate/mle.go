@@ -29,7 +29,11 @@ package estimate
 // censored, low-traffic provider reports an interval that only widens
 // with silence instead of an oscillating point estimate.
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Estimate is a fitted failure rate with its confidence interval and the
 // evidence behind it.
@@ -57,28 +61,53 @@ func (e Estimate) PfailAt(exposure float64) (pfail, lo, hi float64) {
 	return f(e.Rate), f(e.Lo), f(e.Hi)
 }
 
-// score is the log-likelihood derivative U(r) for failure exposures
-// failExp and total success exposure succExp.
-func score(r float64, failExp []float64, succExp float64) float64 {
+// expGroup is a run of n windowed failures sharing exposure t. A window
+// holds few distinct exposures (a fixed-size request has exactly one),
+// so the score and information sums run over groups, not outcomes.
+type expGroup struct {
+	t float64
+	n int
+}
+
+// groupExposures folds single-failure groups into one group per distinct
+// exposure, in place: sort by exposure, then run-length encode. It
+// returns the grouped prefix of g.
+func groupExposures(g []expGroup) []expGroup {
+	slices.SortFunc(g, func(a, b expGroup) int { return cmp.Compare(a.t, b.t) })
+	out := g[:0]
+	for _, x := range g {
+		if k := len(out); k > 0 && out[k-1].t == x.t {
+			out[k-1].n += x.n
+			continue
+		}
+		out = append(out, x)
+	}
+	return out
+}
+
+// score is the log-likelihood derivative U(r) for the grouped failure
+// exposures fails and total success exposure succExp.
+func score(r float64, fails []expGroup, succExp float64) float64 {
 	u := -succExp
-	for _, t := range failExp {
-		u += t / math.Expm1(r*t)
+	for _, g := range fails {
+		u += float64(g.n) * g.t / math.Expm1(r*g.t)
 	}
 	return u
 }
 
 // fitRate computes the MLE and confidence interval from the window's
-// failure exposures and total success exposure. Returns ok=false when
-// there is no usable exposure.
-func fitRate(failExp []float64, succExp float64, confidence float64) (rate, lo, hi float64, ok bool) {
+// grouped failure exposures (see groupExposures) and total success
+// exposure. Returns ok=false when there is no usable exposure.
+func fitRate(fails []expGroup, succExp float64, confidence float64) (rate, lo, hi float64, ok bool) {
 	total := succExp
-	for _, t := range failExp {
-		total += t
+	d := 0
+	for _, g := range fails {
+		total += float64(g.n) * g.t
+		d += g.n
 	}
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return 0, 0, 0, false
 	}
-	d := len(failExp)
 	if d == 0 {
 		// Censored sample: exact one-sided upper bound.
 		return 0, 0, -math.Log(1-confidence) / succExp, true
@@ -94,15 +123,15 @@ func fitRate(failExp []float64, succExp float64, confidence float64) (rate, lo, 
 	// bracket the root from the rare-failure guess d/T, then bisect.
 	rate = float64(d) / total
 	lo0, hi0 := rate, rate
-	for score(lo0, failExp, succExp) < 0 {
+	for score(lo0, fails, succExp) < 0 {
 		lo0 /= 2
 	}
-	for score(hi0, failExp, succExp) > 0 {
+	for score(hi0, fails, succExp) > 0 {
 		hi0 *= 2
 	}
 	for i := 0; i < 100 && hi0-lo0 > 1e-14*hi0; i++ {
 		mid := (lo0 + hi0) / 2
-		if score(mid, failExp, succExp) > 0 {
+		if score(mid, fails, succExp) > 0 {
 			lo0 = mid
 		} else {
 			hi0 = mid
@@ -112,9 +141,9 @@ func fitRate(failExp []float64, succExp float64, confidence float64) (rate, lo, 
 
 	// Observed Fisher information at the MLE.
 	info := 0.0
-	for _, t := range failExp {
-		em := math.Expm1(rate * t)
-		info += t * t * (em + 1) / (em * em)
+	for _, g := range fails {
+		em := math.Expm1(rate * g.t)
+		info += float64(g.n) * g.t * g.t * (em + 1) / (em * em)
 	}
 	seLog := 1 / (rate * math.Sqrt(info))
 	z := zQuantile(confidence)

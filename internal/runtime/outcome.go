@@ -157,12 +157,15 @@ func (s *Supervisor) ReportInvocation(ctx context.Context, inv Invocation) (v mo
 // Repredict rebinds one attribute of a (simple) service to a learned
 // value and recomputes the prediction through the updated model: the
 // service is replaced by a WithAttr copy, the evaluator rebuilt, and the
-// supervised target re-evaluated. On success the supervisor's predicted
-// reliability, last-known-good value, and the provider's health state
-// are refreshed (breaker closed, SPRT re-armed against the new
-// prediction — the old evidence judged the old model), and
-// SupervisorConfig.OnRepredict fires outside the lock. On evaluation
-// failure the old service is restored and the model is unchanged.
+// supervised target re-evaluated. Only the new model is evaluated: the
+// pre-swap prediction is the one the supervisor already holds for the
+// live model, unless that model changed since it was computed. On
+// success the supervisor's predicted reliability, last-known-good value,
+// and the provider's health state are refreshed (breaker closed, SPRT
+// re-armed against the new prediction — the old evidence judged the old
+// model), and SupervisorConfig.OnRepredict fires outside the lock. On
+// evaluation failure the old service is restored and the model is
+// unchanged.
 // *Supervisor implements estimate.Repredictor with this method.
 func (s *Supervisor) Repredict(ctx context.Context, provider, attr string, value float64) (oldPfail, newPfail float64, err error) {
 	if ctx == nil {
@@ -196,20 +199,25 @@ func (s *Supervisor) repredictLocked(ctx context.Context, provider, attr string,
 	}
 	oldValue := simple.Attributes()[attr]
 
-	// Pre-swap prediction, for the published old/new pair; fall back to
-	// the last-known-good value when the current model cannot evaluate
+	// Pre-swap prediction, for the published old/new pair: the live
+	// model's cached prediction when it has one (the previous Repredict
+	// or exact Pfail computed it), otherwise a fresh evaluation; fall back
+	// to the last-known-good value when the current model cannot evaluate
 	// (e.g. the drifted provider is quarantined with no alternative).
-	oldPfail := math.NaN()
-	if p, perr := s.ev.PfailCtx(ctx, s.target, s.params...); perr == nil {
-		oldPfail = p
-	} else if s.last != nil {
-		oldPfail = s.last.Pfail
+	oldPfail := s.livePfail
+	if math.IsNaN(oldPfail) {
+		if p, perr := s.ev.PfailCtx(ctx, s.target, s.params...); perr == nil {
+			oldPfail = p
+		} else if s.last != nil {
+			oldPfail = s.last.Pfail
+		}
 	}
 
 	if err := s.asm.ReplaceService(updated); err != nil {
 		return RepredictEvent{}, err
 	}
 	s.ev = core.New(s.wrapped(), s.opts)
+	s.livePfail = math.NaN()
 	newPfail, err := s.ev.PfailCtx(ctx, s.target, s.params...)
 	if err != nil {
 		// The learned parameter broke the model: roll back.
@@ -219,6 +227,7 @@ func (s *Supervisor) repredictLocked(ctx context.Context, provider, attr string,
 		s.ev = core.New(s.wrapped(), s.opts)
 		return RepredictEvent{}, fmt.Errorf("runtime: repredict %s.%s=%g: %w", provider, attr, value, err)
 	}
+	s.livePfail = newPfail
 
 	s.predicted = 1 - newPfail
 	s.last = &LastGood{Pfail: newPfail, Provider: s.current.Provider, At: s.clock.Now()}
@@ -239,12 +248,12 @@ func (s *Supervisor) repredictLocked(ctx context.Context, provider, attr string,
 		NewPfail: newPfail,
 		At:       s.clock.Now(),
 	}
-	s.repredicts = append(s.repredicts, ev)
+	s.repredicts = appendCapped(s.repredicts, ev)
 	return ev, nil
 }
 
-// Repredictions returns every completed re-prediction so far, oldest
-// first.
+// Repredictions returns the most recent completed re-predictions (at
+// most 64), oldest first; OnRepredict sees every one.
 func (s *Supervisor) Repredictions() []RepredictEvent {
 	s.lock()
 	defer s.unlock()

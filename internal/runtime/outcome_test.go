@@ -348,3 +348,123 @@ func TestWithAttrAndReplaceService(t *testing.T) {
 		t.Fatalf("registration order disturbed: %v", names)
 	}
 }
+
+// TestRepredictReusesLivePrediction: the pre-swap prediction of a
+// re-prediction is the previous re-prediction's post-swap value, bit for
+// bit — the supervisor does not evaluate the old model again.
+func TestRepredictReusesLivePrediction(t *testing.T) {
+	asm, cands := buildCPUAssembly(t, 0.05, 0.5)
+	sup, err := rt.NewSupervisor(context.Background(), rt.SupervisorConfig{Clock: rt.NewFakeClock(t0)}, asm, "app", "worker", cands, core.Options{}, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lam := range []float64{0.2, 0.1, 0.3} {
+		if _, _, err := sup.Repredict(context.Background(), "cpu1", "lambda", lam); err != nil {
+			t.Fatalf("Repredict lambda=%g: %v", lam, err)
+		}
+	}
+	evs := sup.Repredictions()
+	if len(evs) != 3 {
+		t.Fatalf("%d events, want 3", len(evs))
+	}
+	for i := 1; i < len(evs); i++ {
+		if math.Float64bits(evs[i].OldPfail) != math.Float64bits(evs[i-1].NewPfail) {
+			t.Fatalf("event %d OldPfail %v, want event %d NewPfail %v bit for bit", i, evs[i].OldPfail, i-1, evs[i-1].NewPfail)
+		}
+	}
+}
+
+// TestRepredictReusesExactPfail: an exact Pfail answer is the live
+// model's prediction, so the next re-prediction reports it as OldPfail.
+func TestRepredictReusesExactPfail(t *testing.T) {
+	asm, cands := buildCPUAssembly(t, 0.05, 0.5)
+	sup, err := rt.NewSupervisor(context.Background(), rt.SupervisorConfig{Clock: rt.NewFakeClock(t0)}, asm, "app", "worker", cands, core.Options{}, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := sup.Pfail(context.Background())
+	if !ans.IsExact() {
+		t.Fatalf("answer %+v", ans)
+	}
+	oldPfail, _, err := sup.Repredict(context.Background(), "cpu1", "lambda", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(oldPfail) != math.Float64bits(ans.Pfail) {
+		t.Fatalf("OldPfail %v, want the exact answer %v bit for bit", oldPfail, ans.Pfail)
+	}
+}
+
+// TestRepredictAfterRebindEvaluatesNewBinding: a breaker-driven rebind
+// changes the live model, so the next re-prediction's OldPfail is a fresh
+// evaluation of the new binding, not the prediction cached for the old
+// one.
+func TestRepredictAfterRebindEvaluatesNewBinding(t *testing.T) {
+	ctx := context.Background()
+	asm, cands := buildCPUAssembly(t, 0.05, 0.5)
+	sup, err := rt.NewSupervisor(ctx, rt.SupervisorConfig{Clock: rt.NewFakeClock(t0)}, asm, "app", "worker", cands, core.Options{}, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cache a prediction for the cpu1 binding.
+	_, cpu1Pfail, err := sup.Repredict(ctx, "cpu1", "lambda", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebound := false
+	for i := 0; i < 2000 && !rebound; i++ {
+		_, rb, err := sup.ReportOutcome(ctx, false)
+		if err != nil {
+			t.Fatalf("ReportOutcome: %v", err)
+		}
+		rebound = rb
+	}
+	if !rebound || sup.Current().Provider != "cpu2" {
+		t.Fatalf("no failover to cpu2 (rebound %v, bound to %q)", rebound, sup.Current().Provider)
+	}
+
+	oldPfail, _, err := sup.Repredict(ctx, "cpu2", "lambda", 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := buildCPUAssembly(t, 0.1, 0.5)
+	ref.AddBinding("app", "worker", "cpu2", "")
+	want, err := core.New(ref, core.Options{}).Pfail("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(oldPfail-want) > 1e-12 {
+		t.Fatalf("OldPfail after rebind %v, want %v (the cpu1 binding predicted %v)", oldPfail, want, cpu1Pfail)
+	}
+}
+
+// TestSupervisorHistoryIsCapped: the supervisor keeps only its most
+// recent re-predictions, while OnRepredict sees every one.
+func TestSupervisorHistoryIsCapped(t *testing.T) {
+	const n = 70
+	published := 0
+	asm, cands := buildCPUAssembly(t, 0.05, 0.5)
+	cfg := rt.SupervisorConfig{Clock: rt.NewFakeClock(t0), OnRepredict: func(rt.RepredictEvent) { published++ }}
+	sup, err := rt.NewSupervisor(context.Background(), cfg, asm, "app", "worker", cands, core.Options{}, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(i int) float64 { return 0.1 + 0.001*float64(i) }
+	for i := 0; i < n; i++ {
+		if _, _, err := sup.Repredict(context.Background(), "cpu1", "lambda", value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if published != n {
+		t.Fatalf("OnRepredict saw %d events, want %d", published, n)
+	}
+	evs := sup.Repredictions()
+	if len(evs) != 64 {
+		t.Fatalf("kept %d events, want 64", len(evs))
+	}
+	for j, ev := range evs {
+		if want := value(n - 64 + j); ev.NewValue != want {
+			t.Fatalf("event %d NewValue %g, want %g (most recent, oldest first)", j, ev.NewValue, want)
+		}
+	}
+}

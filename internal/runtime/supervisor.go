@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"socrel/internal/assembly"
@@ -73,13 +74,31 @@ type Supervisor struct {
 	target     string
 	params     []float64
 
-	mu         chan struct{} // semaphore: also serializes the interpreted evaluator
-	current    registry.Candidate
-	predicted  float64
-	ev         *core.Evaluator
+	mu        chan struct{} // semaphore: also serializes the interpreted evaluator
+	current   registry.Candidate
+	predicted float64
+	ev        *core.Evaluator
+	// livePfail is the exact Pfail of the model in force at (target,
+	// params), as last computed by Repredict or an exact Pfail answer;
+	// NaN once the model has changed since. Repredict reads it as the
+	// pre-swap prediction instead of evaluating the old model again.
+	livePfail  float64
 	last       *LastGood
 	rebinds    []RebindEvent
 	repredicts []RepredictEvent
+}
+
+// historyCap bounds the rebind and re-prediction histories: a long-lived
+// supervisor keeps only its most recent events (the hooks see them all).
+const historyCap = 64
+
+// appendCapped appends ev to h, dropping the oldest event once h holds
+// historyCap.
+func appendCapped[T any](h []T, ev T) []T {
+	if len(h) == historyCap {
+		h = append(h[:0], h[1:]...)
+	}
+	return append(h, ev)
 }
 
 // NewSupervisor binds the (caller, role) requirement to the most reliable
@@ -106,6 +125,7 @@ func NewSupervisor(ctx context.Context, cfg SupervisorConfig, asm *assembly.Asse
 		target:     target,
 		params:     append([]float64(nil), params...),
 		mu:         make(chan struct{}, 1),
+		livePfail:  math.NaN(),
 	}
 	s.mu <- struct{}{}
 	s.lock()
@@ -120,7 +140,8 @@ func (s *Supervisor) lock()   { <-s.mu }
 func (s *Supervisor) unlock() { s.mu <- struct{}{} }
 
 // rebindLocked selects the best healthy candidate, rebinds the assembly,
-// and rebuilds the evaluator. reason == nil means the initial binding.
+// and rebuilds the evaluator (the cached live prediction no longer
+// applies). reason == nil means the initial binding.
 func (s *Supervisor) rebindLocked(ctx context.Context, reason error) error {
 	sel, err := SelectHealthyBinding(ctx, s.tracker, s.asm, s.caller, s.role, s.candidates, s.opts, s.target, s.params...)
 	if err != nil {
@@ -129,6 +150,7 @@ func (s *Supervisor) rebindLocked(ctx context.Context, reason error) error {
 	old := s.current
 	s.asm.AddBinding(s.caller, s.role, sel.Candidate.Provider, sel.Candidate.Connector)
 	s.ev = core.New(s.wrapped(), s.opts)
+	s.livePfail = math.NaN()
 	s.current = sel.Candidate
 	s.predicted = sel.Reliability
 	if err := s.tracker.Watch(sel.Candidate.Provider, sel.Reliability); err != nil {
@@ -136,7 +158,7 @@ func (s *Supervisor) rebindLocked(ctx context.Context, reason error) error {
 	}
 	if reason != nil {
 		ev := RebindEvent{From: old, To: sel.Candidate, Reason: reason, Predicted: sel.Reliability, At: s.clock.Now()}
-		s.rebinds = append(s.rebinds, ev)
+		s.rebinds = appendCapped(s.rebinds, ev)
 		if s.cfg.OnRebind != nil {
 			s.cfg.OnRebind(ev)
 		}
@@ -165,7 +187,8 @@ func (s *Supervisor) Predicted() float64 {
 	return s.predicted
 }
 
-// Rebinds returns every automatic rebind so far, oldest first.
+// Rebinds returns the most recent automatic rebinds (at most 64), oldest
+// first; OnRebind sees every one.
 func (s *Supervisor) Rebinds() []RebindEvent {
 	s.lock()
 	defer s.unlock()
@@ -230,6 +253,7 @@ func (s *Supervisor) Pfail(ctx context.Context) Answer {
 	}
 	p, err := s.ev.PfailCtx(evalCtx, s.target, s.params...)
 	if err == nil {
+		s.livePfail = p
 		s.last = &LastGood{Pfail: p, Provider: prov, At: s.clock.Now()}
 		s.tracker.ObserveEvalSuccess(prov)
 		return Answer{Kind: Exact, Pfail: p, Provider: prov, AsOf: s.last.At}
@@ -241,6 +265,7 @@ func (s *Supervisor) Pfail(ctx context.Context) Answer {
 		why, _ := s.tracker.Breaker(prov).LastTrip()
 		if rerr := s.rebindLocked(ctx, why); rerr == nil {
 			if p, rerr := s.ev.PfailCtx(evalCtx, s.target, s.params...); rerr == nil {
+				s.livePfail = p
 				s.last = &LastGood{Pfail: p, Provider: s.current.Provider, At: s.clock.Now()}
 				return Answer{Kind: Exact, Pfail: p, Provider: s.current.Provider, AsOf: s.last.At}
 			}
