@@ -15,6 +15,7 @@ import (
 	"socrel/internal/cluster"
 	"socrel/internal/core"
 	"socrel/internal/estimate"
+	"socrel/internal/linalg"
 	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
 )
@@ -59,24 +60,28 @@ func wantKeys(t *testing.T, what string, obj any, original, added []string, remo
 	}
 }
 
-// switchEval is an evaluator whose answer the test flips.
+// switchEval serves a closed form until the test arms an error, which
+// every evaluation then returns. Embedding forwards Inline, so a shed
+// request is answered from the closed form.
 type switchEval struct {
+	*core.CompiledAssembly
 	mu   sync.Mutex
-	fail bool
+	fail error
 }
 
-func (s *switchEval) PfailCtx(context.Context, string, ...float64) (float64, error) {
+func (s *switchEval) PfailCtx(ctx context.Context, service string, params ...float64) (float64, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fail {
-		return 0, errors.New("backend down")
+	fail := s.fail
+	s.mu.Unlock()
+	if fail != nil {
+		return 0, fail
 	}
-	return 0.25, nil
+	return s.CompiledAssembly.PfailCtx(ctx, service, params...)
 }
 
-func (s *switchEval) setFail(fail bool) {
+func (s *switchEval) setFail(err error) {
 	s.mu.Lock()
-	s.fail = fail
+	s.fail = err
 	s.mu.Unlock()
 }
 
@@ -84,11 +89,21 @@ func (s *switchEval) setFail(fail bool) {
 // moving the wire layer cannot silently drop or rename a key.
 func TestWireFormatKeys(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
-	eval := &switchEval{}
+	asm, err := assembly.LocalAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := core.CompileParametric(asm, core.Options{}, core.ParametricOptions{}, "search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := &switchEval{CompiledAssembly: ca}
 	f, err := cluster.NewFleet(cluster.FleetConfig{
-		Replicas:     1,
-		Node:         cluster.NodeConfig{GossipInterval: time.Second, Clock: clk},
-		Server:       server.Config{Service: "search", Hedge: server.HedgeConfig{Disabled: true}},
+		Replicas: 1,
+		Node:     cluster.NodeConfig{GossipInterval: time.Second, Clock: clk},
+		// An hour-long service-time estimate sheds any request with a
+		// deadline at admission.
+		Server:       server.Config{Service: "search", InitialEstimate: time.Hour, Hedge: server.HedgeConfig{Disabled: true}},
 		NewEvaluator: func(string) server.Evaluator { return eval },
 		NewEstimator: func(string) *estimate.Estimator {
 			est, err := estimate.New(estimate.Config{Clock: clk})
@@ -102,39 +117,34 @@ func TestWireFormatKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Stop()
-	asm, err := assembly.LocalAssembly(assembly.DefaultPaperParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, err := core.CompileParametric(asm, core.Options{}, core.ParametricOptions{}, "search")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(newFleetMux(f, ca))
 	defer ts.Close()
 
 	answer := []string{"kind", "pfail", "reliability"}
-	resp, m := postPredict(t, ts.URL, `{"params":[1]}`)
+	resp, m := postPredict(t, ts.URL, `{"params":[1,4096,1]}`)
 	if resp.StatusCode != http.StatusOK || m["kind"] != "exact" {
 		t.Fatalf("exact: %d %v", resp.StatusCode, m)
 	}
 	wantKeys(t, "exact answer", m, answer, nil)
 
-	eval.setFail(true)
+	// Stale: a shed after the scope's exact answer, from the closed form.
 	clk.Advance(3 * time.Second)
-	resp, m = postPredict(t, ts.URL, `{"params":[1]}`)
+	resp, m = postPredict(t, ts.URL, `{"params":[1,8192,1],"timeout_ms":1000}`)
 	if resp.StatusCode != http.StatusOK || m["kind"] != "stale" {
 		t.Fatalf("stale: %d %v", resp.StatusCode, m)
 	}
 	wantKeys(t, "stale answer", m, append(answer, "age_ms", "error"), nil)
 
-	resp, m = postPredict(t, ts.URL, `{"params":[2]}`)
+	// Bounded: a solver that stopped short, with no last-good value.
+	eval.setFail(&linalg.NoConvergenceError{Iterations: 10, Residual: 0.05})
+	resp, m = postPredict(t, ts.URL, `{"params":[1,4096,1]}`)
 	if resp.StatusCode != http.StatusOK || m["kind"] != "bounded" {
 		t.Fatalf("bounded: %d %v", resp.StatusCode, m)
 	}
 	wantKeys(t, "bounded answer", m, append(answer, "lo", "hi", "error"), nil)
 
-	resp, m = postPredict(t, ts.URL, `{"scope":"fresh","params":[3]}`)
+	eval.setFail(errors.New("backend down"))
+	resp, m = postPredict(t, ts.URL, `{"params":[1,4096,1]}`)
 	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
 		t.Fatalf("unavailable: %d %v", resp.StatusCode, m)
 	}

@@ -252,8 +252,9 @@ func (d *dispatchEval) PfailBatchCtx(ctx context.Context, service string, paramS
 
 // modelContext resolves an optional ?model=tenant/name[@version] query
 // parameter into a request context carrying the compiled artifact, plus
-// the stale-store scope (the concrete resolved version, so degraded
-// answers never cross models or versions). A request naming no model
+// the serving scope (the concrete resolved version, so one model's
+// last exact answer never dates another model's or version's Stale
+// answers). A request naming no model
 // carries the default evaluator, and is refused with 404 before
 // admission when there is none. The bool reports whether the response
 // has already been written (error).

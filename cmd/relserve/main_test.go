@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"socrel/internal/assembly"
+	"socrel/internal/core"
+	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
 )
 
@@ -81,26 +83,45 @@ func TestPredictExact(t *testing.T) {
 	}
 }
 
+// TestPredictDegradesToStale: on a closed-form model, a request the
+// server sheds after the scope's first exact answer is a usable 200
+// Stale answer: the closed form at the requested point, carrying the
+// shed cause.
 func TestPredictDegradesToStale(t *testing.T) {
-	eval := &stubEval{}
-	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0.02, nil })
-	ts := newTestServer(eval, server.Config{Hedge: server.HedgeConfig{Disabled: true}})
+	asm, err := assembly.LocalAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := core.CompileParametric(asm, core.Options{}, core.ParametricOptions{}, "search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An hour-long service-time estimate sheds any request with a
+	// deadline at admission.
+	clk := socruntime.NewFakeClock(time.Unix(0, 0))
+	srv := server.New(ca, server.Config{Service: "search", Clock: clk, InitialEstimate: time.Hour, Hedge: server.HedgeConfig{Disabled: true}})
+	ts := httptest.NewServer(newMux(srv, nil, nil, nil))
 	defer ts.Close()
 
-	if resp, m := postJSON(t, ts.URL+"/predict", `{"params":[1]}`); resp.StatusCode != 200 || m["kind"] != "exact" {
+	if resp, m := postJSON(t, ts.URL+"/predict", `{"params":[1,4096,1]}`); resp.StatusCode != 200 || m["kind"] != "exact" {
 		t.Fatalf("seed request failed: %d %v", resp.StatusCode, m)
 	}
-	eval.set(func(context.Context, string, ...float64) (float64, error) {
-		return 0, errors.New("backend exploded")
-	})
-	resp, m := postJSON(t, ts.URL+"/predict", `{"params":[1]}`)
+	clk.Advance(1500 * time.Millisecond)
+	resp, m := postJSON(t, ts.URL+"/predict", `{"params":[1,8192,1],"timeout_ms":1000}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale answers are still usable: status = %d, want 200", resp.StatusCode)
 	}
-	if m["kind"] != "stale" || m["pfail"] != 0.02 {
-		t.Fatalf("body = %v, want stale 0.02", m)
+	want, err := ca.Pfail("search", 1, 8192, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if msg, _ := m["error"].(string); !strings.Contains(msg, "backend exploded") {
+	if m["kind"] != "stale" || m["pfail"] != want {
+		t.Fatalf("body = %v, want stale %v", m, want)
+	}
+	if m["age_ms"] != 1500.0 {
+		t.Fatalf("age_ms = %v, want 1500", m["age_ms"])
+	}
+	if msg, _ := m["error"].(string); !strings.Contains(msg, "overloaded") {
 		t.Fatalf("degraded answer must carry its cause, got %v", m["error"])
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"socrel/internal/assembly"
 	"socrel/internal/core"
 	"socrel/internal/estimate"
+	"socrel/internal/linalg"
 	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
 	"socrel/internal/store"
@@ -80,15 +81,11 @@ func TestWireFormatKeys(t *testing.T) {
 	}
 	wantKeys(t, "exact answer", m, answer, nil)
 
-	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0, errors.New("backend down") })
-	clk.Advance(3 * time.Second)
+	// Bounded: a solver that stopped short, with no last-good value.
+	eval.set(func(context.Context, string, ...float64) (float64, error) {
+		return 0, &linalg.NoConvergenceError{Iterations: 10, Residual: 0.05}
+	})
 	resp, m = doReq(t, "POST", ts.URL+"/predict", `{"params":[1]}`)
-	if resp.StatusCode != http.StatusOK || m["kind"] != "stale" {
-		t.Fatalf("stale: %d %v", resp.StatusCode, m)
-	}
-	wantKeys(t, "stale answer", m, append(answer, "age_ms", "error"), nil)
-
-	resp, m = doReq(t, "POST", ts.URL+"/predict", `{"params":[2]}`)
 	if resp.StatusCode != http.StatusOK || m["kind"] != "bounded" {
 		t.Fatalf("bounded: %d %v", resp.StatusCode, m)
 	}
@@ -100,15 +97,28 @@ func TestWireFormatKeys(t *testing.T) {
 	}
 	wantKeys(t, "error body", m, []string{"error"}, nil)
 
-	// A fresh scope has no bounds to fall back on.
-	srv2 := server.New(eval, server.Config{Service: "search", Clock: clk, Hedge: server.HedgeConfig{Disabled: true}})
-	ts2 := httptest.NewServer(newMux(srv2, nil, nil, nil))
-	defer ts2.Close()
-	resp, m = doReq(t, "POST", ts2.URL+"/predict", `{"params":[3]}`)
+	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0, errors.New("backend down") })
+	resp, m = doReq(t, "POST", ts.URL+"/predict", `{"params":[3]}`)
 	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
 		t.Fatalf("unavailable: %d %v", resp.StatusCode, m)
 	}
 	wantKeys(t, "unavailable answer", m, append(answer, "error"), nil)
+
+	// Stale: a closed-form server sheds a request after its scope's
+	// first exact answer (an hour-long service-time estimate sheds any
+	// request with a deadline).
+	srv2 := server.New(ca, server.Config{Service: "search", Clock: clk, InitialEstimate: time.Hour, Hedge: server.HedgeConfig{Disabled: true}})
+	ts2 := httptest.NewServer(newMux(srv2, nil, nil, nil))
+	defer ts2.Close()
+	if resp, m = doReq(t, "POST", ts2.URL+"/predict", `{"params":[1,4096,1]}`); m["kind"] != "exact" {
+		t.Fatalf("closed-form seed: %d %v", resp.StatusCode, m)
+	}
+	clk.Advance(3 * time.Second)
+	resp, m = doReq(t, "POST", ts2.URL+"/predict", `{"params":[1,8192,1],"timeout_ms":1000}`)
+	if resp.StatusCode != http.StatusOK || m["kind"] != "stale" {
+		t.Fatalf("stale: %d %v", resp.StatusCode, m)
+	}
+	wantKeys(t, "stale answer", m, append(answer, "age_ms", "error"), nil)
 
 	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0.5, nil })
 	resp, m = doReq(t, "POST", ts.URL+"/predict/batch", `{"param_sets":[[1],[2]]}`)

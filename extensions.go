@@ -165,10 +165,11 @@ const (
 const (
 	// AnswerExact is a fresh evaluation under the current binding.
 	AnswerExact = socruntime.Exact
-	// AnswerStale is the last known good value with staleness metadata.
+	// AnswerStale is a value from the last known good model, dated by its
+	// last exact answer (AsOf, Age).
 	AnswerStale = socruntime.Stale
-	// AnswerBounded is a conservative interval from an iterative solver's
-	// residual.
+	// AnswerBounded is the last known good value widened by an iterative
+	// solver's residual (uncertified; [0, 1] without a last good value).
 	AnswerBounded = socruntime.Bounded
 	// AnswerUnavailable means no answer can be given; Err says why.
 	AnswerUnavailable = socruntime.Unavailable
@@ -246,7 +247,8 @@ type TimedEstimate = sim.TimedEstimate
 // Degraded answers (the graceful-degradation ladder's raw material).
 
 // LastGood is a previously computed exact evaluation: the raw material of
-// stale answers.
+// a Supervisor's stale answers. The Server keeps none; it answers Stale by
+// evaluating a scope's closed form at the requested point.
 type LastGood = socruntime.LastGood
 
 // Degrade turns an evaluation failure into the best non-exact Answer the
@@ -254,12 +256,6 @@ type LastGood = socruntime.LastGood
 // last-known-good value exists, unavailable otherwise.
 func Degrade(cause error, last *LastGood, now time.Time) Answer {
 	return socruntime.Degrade(cause, last, now)
-}
-
-// BoundedInterval builds a bounded Answer for [lo, hi] (clamped to [0, 1]),
-// carrying cause as the reason the exact value is unknown.
-func BoundedInterval(lo, hi float64, cause error) Answer {
-	return socruntime.BoundedInterval(lo, hi, cause)
 }
 
 // Overload-resilient serving layer (cmd/relserve is the HTTP front end).

@@ -353,37 +353,63 @@ func TestFacadeReportAndSimulator(t *testing.T) {
 }
 
 // TestFacadeServingLayer drives the overload-resilient serving layer
-// through the facade: a compiled paper assembly behind an
-// admission-controlled server, one exact answer, one degraded answer.
+// through the facade: a paper assembly behind an admission-controlled
+// server, one exact answer, then a shed at a new point. Compiled to a
+// closed form, the shed is Stale, the closed form at that point;
+// compiled numerically, it is Unavailable.
 func TestFacadeServingLayer(t *testing.T) {
 	asm, err := socrel.LocalAssembly(socrel.DefaultPaperParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := socrel.Compile(asm, socrel.Options{})
+	parametric, err := socrel.CompileParametric(asm, socrel.Options{}, socrel.ParametricOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := socrel.NewServer(ca, socrel.ServerConfig{
-		Service: "search",
-		Hedge:   socrel.HedgeConfig{Disabled: true},
-	})
-	ans := srv.Serve(context.Background(), socrel.ServerRequest{
-		Params:   []float64{1, 4096, 1},
-		Priority: socrel.PriorityInteractive,
-	})
-	if !ans.IsExact() {
-		t.Fatalf("answer = %+v, want exact", ans)
+	numeric, err := socrel.Compile(asm, socrel.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	shed := srv.Serve(context.Background(), socrel.ServerRequest{
-		Params:  []float64{1, 4096, 1},
-		Timeout: time.Nanosecond, // cannot cover any service-time estimate
-	})
-	if shed.Kind != socrel.AnswerStale || !errors.Is(shed.Err, socrel.ErrOverloaded) {
-		t.Fatalf("shed answer = %+v, want stale wrapping ErrOverloaded", shed)
-	}
-	if st := srv.Stats(); st.Offered != 2 || st.ShedDeadline != 1 {
-		t.Fatalf("stats = %+v, want offered=2 shed_deadline=1", st)
+	for _, tc := range []struct {
+		name string
+		ca   *socrel.CompiledAssembly
+		kind socrel.AnswerKind
+	}{
+		{"parametric", parametric, socrel.AnswerStale},
+		{"numeric", numeric, socrel.AnswerUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := socrel.NewServer(tc.ca, socrel.ServerConfig{
+				Service: "search",
+				Hedge:   socrel.HedgeConfig{Disabled: true},
+			})
+			ans := srv.Serve(context.Background(), socrel.ServerRequest{
+				Params:   []float64{1, 4096, 1},
+				Priority: socrel.PriorityInteractive,
+			})
+			if !ans.IsExact() {
+				t.Fatalf("answer = %+v, want exact", ans)
+			}
+			shed := srv.Serve(context.Background(), socrel.ServerRequest{
+				Params:  []float64{1, 8192, 1},
+				Timeout: time.Nanosecond, // cannot cover any service-time estimate
+			})
+			if shed.Kind != tc.kind || !errors.Is(shed.Err, socrel.ErrOverloaded) {
+				t.Fatalf("shed answer = %+v, want %v wrapping ErrOverloaded", shed, tc.kind)
+			}
+			if tc.kind == socrel.AnswerStale {
+				want, err := tc.ca.Pfail("search", 1, 8192, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shed.Pfail != want || !shed.AsOf.Equal(ans.AsOf) {
+					t.Fatalf("stale = %v as of %v, want %v as of %v", shed.Pfail, shed.AsOf, want, ans.AsOf)
+				}
+			}
+			if st := srv.Stats(); st.Offered != 2 || st.ShedDeadline != 1 {
+				t.Fatalf("stats = %+v, want offered=2 shed_deadline=1", st)
+			}
+		})
 	}
 }
 

@@ -113,7 +113,7 @@ func BenchmarkFleetServe(b *testing.B) {
 	mixed = append(append(mixed, local...), forwarded...)
 	ctx := context.Background()
 	run := func(b *testing.B, reqs []server.Request, serve func(context.Context, server.Request) socruntime.Answer) {
-		for _, r := range reqs { // warm every replica's stale store
+		for _, r := range reqs { // warm every replica's session pool
 			serve(ctx, r)
 		}
 		b.ReportAllocs()

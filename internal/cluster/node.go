@@ -89,9 +89,9 @@ type NodeStats struct {
 	ServedForDead uint64 `json:"served_for_dead"`
 	// ServedForwarded counts requests received from a peer's forward.
 	ServedForwarded uint64 `json:"served_forwarded"`
-	// ReadRepaired counts forwarded answers whose fresher snapshot was
-	// pushed back into this replica's own stale store, so a later
-	// partition finds the entry already warm here.
+	// ReadRepaired counts forwarded answers whose time this replica
+	// adopted as its scope's last exact time, so a later partition finds
+	// the scope's record already warm here.
 	ReadRepaired uint64 `json:"read_repaired"`
 	// RumorsSent and RumorsReceived count gossip traffic.
 	RumorsSent     uint64 `json:"rumors_sent"`
@@ -296,19 +296,16 @@ func (n *Node) Serve(ctx context.Context, req server.Request) socruntime.Answer 
 	return ans
 }
 
-// readRepair folds a peer's answer back into the local stale store when
-// it is fresher than what this replica holds, so requests this replica
-// must serve itself during a later partition start from the owner's
-// last-known-good value instead of a cold store.
+// readRepair adopts a peer's answer time as the scope's last exact time
+// when it is later than this replica's own. When this replica must then
+// serve the scope itself during a later partition and sheds a request,
+// the answer is Stale as of the owner's last exact answer instead of
+// Unavailable.
 func (n *Node) readRepair(req server.Request, ans socruntime.Answer) {
 	if ans.Kind != socruntime.Exact && ans.Kind != socruntime.Stale {
 		return
 	}
-	if ans.AsOf.IsZero() {
-		return
-	}
-	lg := socruntime.LastGood{Pfail: ans.Pfail, Provider: ans.Provider, At: ans.AsOf}
-	if n.srv.RepairSnapshot(req.Scope, req.Service, req.Params, lg) {
+	if n.srv.RepairLastExact(req.Scope, ans.AsOf) {
 		n.mu.Lock()
 		n.stats.ReadRepaired++
 		n.mu.Unlock()

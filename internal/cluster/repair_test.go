@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,8 +14,10 @@ import (
 	"socrel/internal/server"
 )
 
-// switchEval answers a per-replica constant until fail is flipped, then
-// errors — the switch that forces the serving tier down its ladder.
+// switchEval answers a per-replica closed form, p + x/1000 at point
+// x, until fail is flipped, then errors: the switch that forces the
+// serving tier down its ladder. It serves inline, so a shed request
+// whose scope has an exact answer on record is answered Stale.
 type switchEval struct {
 	p    float64
 	fail *atomic.Bool
@@ -24,14 +27,16 @@ func (e switchEval) PfailCtx(ctx context.Context, service string, params ...floa
 	if e.fail.Load() {
 		return 0, errors.New("evaluator down")
 	}
-	return e.p, nil
+	return e.p + params[0]/1000, nil
 }
 
-// peerOwnedRequest finds a parameter point whose ring owner (in entry's
-// view) is a peer, so Serve must forward.
-func peerOwnedRequest(t *testing.T, entry *cluster.Node) (server.Request, string) {
+func (switchEval) Inline(context.Context, string) bool { return true }
+
+// peerOwnedRequest finds a parameter point at or after from whose ring
+// owner (in entry's view) is a peer, so Serve must forward.
+func peerOwnedRequest(t *testing.T, entry *cluster.Node, from int) (server.Request, string) {
 	t.Helper()
-	for i := 0; i < 256; i++ {
+	for i := from; i < from+256; i++ {
 		req := server.Request{Scope: "model", Params: []float64{float64(i)}}
 		if owner, ok := entry.Owner(req); ok && owner != entry.ID() {
 			return req, owner
@@ -41,11 +46,13 @@ func peerOwnedRequest(t *testing.T, entry *cluster.Node) (server.Request, string
 	return server.Request{}, ""
 }
 
-// TestReadRepairAfterHeal: a replica cut off by a partition serves its
-// own (older) exact answers; after the heal, one forwarded request pulls
-// the owner's fresher snapshot back into the origin's stale store, so
-// when the evaluator then dies and the owner with it, the origin serves
-// Stale from the repaired value instead of its stale-er own one.
+// TestReadRepairAfterHeal: a replica that has only ever forwarded holds
+// no exact answer of its own, so while partitioned a shed is
+// Unavailable. After the heal, one forwarded request adopts the owner's
+// answer time as the scope's last exact time; partitioned again, the
+// same replica answers a shed at a point it never saw Stale: its own
+// closed form at that point, as of the owner's answer. A failure of the
+// evaluation itself stays Unavailable.
 func TestReadRepairAfterHeal(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 	net := faultinject.NewNetwork(faultinject.NetConfig{Seed: 11})
@@ -70,34 +77,43 @@ func TestReadRepairAfterHeal(t *testing.T) {
 	t.Cleanup(f.Stop)
 
 	entry := f.Node("replica-0")
-	req, owner := peerOwnedRequest(t, entry)
+	req, owner := peerOwnedRequest(t, entry, 0)
 	ctx := context.Background()
+	shed := func(r server.Request) socruntime.Answer {
+		t.Helper()
+		r.Timeout = time.Nanosecond
+		ans := entry.Serve(ctx, r)
+		if !errors.Is(ans.Err, server.ErrDeadlineBudget) {
+			t.Fatalf("1ns budget: %+v, want a deadline shed", ans)
+		}
+		return ans
+	}
 
-	// Partitioned: the forward fails and the origin serves its own exact
-	// answer — which also warms its stale store with the OLDER value.
+	// Partitioned before any exact answer: the forward fails, the origin
+	// sheds the 1ns budget and has no record to answer Stale from.
 	net.Partition([]string{"replica-0"}, []string{"replica-1", "replica-2"})
-	ans := entry.Serve(ctx, req)
-	if ans.Kind != socruntime.Exact || ans.Pfail != pfail["replica-0"] {
-		t.Fatalf("partitioned serve = %v p=%v, want local Exact %v", ans.Kind, ans.Pfail, pfail["replica-0"])
+	if ans := shed(req); ans.Kind != socruntime.Unavailable {
+		t.Fatalf("partitioned shed without a record = %+v, want Unavailable", ans)
 	}
 	if got := entry.Stats().ReadRepaired; got != 0 {
 		t.Fatalf("ReadRepaired = %d across a partition, want 0", got)
 	}
 
-	// Heal, with time passing so the owner's answer is strictly fresher
-	// than the origin's own partition-era snapshot.
+	// Heal: the forward returns the owner's Exact, and the origin
+	// adopts its time.
 	clk.Advance(time.Second)
 	net.Heal()
-	ans = entry.Serve(ctx, req)
-	if ans.Kind != socruntime.Exact || ans.Pfail != pfail[owner] {
-		t.Fatalf("healed serve = %v p=%v, want forwarded Exact %v", ans.Kind, ans.Pfail, pfail[owner])
+	ans := entry.Serve(ctx, req)
+	want := pfail[owner] + req.Params[0]/1000
+	if ans.Kind != socruntime.Exact || ans.Pfail != want {
+		t.Fatalf("healed serve = %v p=%v, want forwarded Exact %v", ans.Kind, ans.Pfail, want)
 	}
+	ownerAt := ans.AsOf
 	if got := entry.Stats().ReadRepaired; got != 1 {
 		t.Fatalf("ReadRepaired = %d after healed forward, want 1", got)
 	}
-	lg, ok := entry.Server().Snapshot(req.Scope, req.Service, req.Params)
-	if !ok || lg.Pfail != pfail[owner] {
-		t.Fatalf("repaired snapshot = %+v ok=%v, want Pfail %v", lg, ok, pfail[owner])
+	if got := entry.Server().Stats().Repaired; got != 1 {
+		t.Fatalf("server Repaired = %d after healed forward, want 1", got)
 	}
 
 	// Repair is freshness-gated: replaying the same answer changes nothing.
@@ -106,16 +122,26 @@ func TestReadRepairAfterHeal(t *testing.T) {
 		t.Fatalf("ReadRepaired = %d after equal-freshness replay, want still 1", got)
 	}
 
-	// Evaluator dies and the owner with it: the origin degrades to Stale
-	// and the value it serves is the owner's repaired-in one.
+	// Partitioned again, later, at a new point: Stale from the origin's
+	// own closed form, dated by the owner's answer.
+	clk.Advance(5 * time.Second)
+	net.Partition([]string{"replica-0"}, []string{"replica-1", "replica-2"})
+	fresh, _ := peerOwnedRequest(t, entry, int(req.Params[0])+1)
+	ans = shed(fresh)
+	if want := pfail["replica-0"] + fresh.Params[0]/1000; ans.Kind != socruntime.Stale || ans.Pfail != want {
+		t.Fatalf("partitioned shed after repair = %+v, want Stale %v", ans, want)
+	}
+	if !ans.AsOf.Equal(ownerAt) || ans.Age != 5*time.Second {
+		t.Fatalf("stale AsOf %v Age %v, want the owner's %v and 5s", ans.AsOf, ans.Age, ownerAt)
+	}
+
+	// The evaluator dies and the owner with it: a failed evaluation is
+	// not the server's refusal, so the origin answers Unavailable.
 	fail.Store(true)
 	f.Kill(owner)
 	ans = entry.Serve(ctx, req)
-	if ans.Kind != socruntime.Stale {
-		t.Fatalf("degraded serve = %v (err %v), want Stale", ans.Kind, ans.Err)
-	}
-	if ans.Pfail != pfail[owner] {
-		t.Fatalf("stale Pfail = %v, want the read-repaired %v", ans.Pfail, pfail[owner])
+	if ans.Kind != socruntime.Unavailable || !strings.Contains(ans.Err.Error(), "evaluator down") {
+		t.Fatalf("degraded serve = %+v, want Unavailable carrying the evaluator's error", ans)
 	}
 }
 

@@ -140,8 +140,8 @@ func TestClusterChaosSoak(t *testing.T) {
 	defer f.Stop()
 	watchAll(t, f, "provider", 0.01)
 
-	// Warm every replica's degradation store for both scopes, recording
-	// each scope's exact value — the oracle for the leak check.
+	// Serve every replica one exact answer per scope, recording each
+	// scope's exact value — the oracle for the leak check.
 	scopeService := map[string]string{"A": "app", "B": "app2"}
 	pExact := make(map[string]float64)
 	for _, node := range f.Nodes() {

@@ -249,67 +249,45 @@ func (ca *CompiledAssembly) PfailBatchCtx(ctx context.Context, service string, p
 	for i := range out {
 		out[i] = math.NaN()
 	}
-	errIdx := len(paramSets)
-	var errVal error
-	var errMu sync.Mutex
-	record := func(i int, err error) {
-		err = fmt.Errorf("core: batch point %d: %w", i, classify(err))
-		errMu.Lock()
-		if i < errIdx {
-			errIdx, errVal = i, err
-		}
-		errMu.Unlock()
-	}
 	numChunks := (len(paramSets) + batchChunk - 1) / batchChunk
 	po := ca.parametric[idx]
-	evalChunk := func(s *session, lo int) {
-		hi := min(lo+batchChunk, len(paramSets))
-		if po != nil && ca.parametricChunk(po, s, paramSets[lo:hi], out[lo:hi]) {
-			if cerr := ctx.Err(); cerr != nil {
-				// The cancellation fired while the chunk was in flight;
-				// discard its results to keep the stop-at-a-point-boundary
-				// contract.
-				for i := lo; i < hi; i++ {
-					out[i] = math.NaN()
-				}
-				record(lo, cerr)
-				return
-			}
-			ca.parametricPoints.Add(uint64(hi - lo))
-			return
-		}
-		if ca.parametric != nil {
-			ca.numericPoints.Add(uint64(hi - lo))
-		}
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				record(i, err)
-				return
-			}
-			p, err := guardPfail(func() (float64, error) { return s.pfailTop(idx, paramSets[i]) })
-			if err != nil {
-				record(i, err)
-				continue
-			}
-			out[i] = p
-		}
-	}
 	floor := minWorkerPointsNumeric
 	if po != nil {
 		floor = minWorkerPointsClosedForm
 	}
 	workers := min(runtime.GOMAXPROCS(0), numChunks, len(paramSets)/floor)
 	if workers <= 1 {
+		// Serial: chunks and points run in index order, so the first
+		// failure is the lowest-indexed one.
 		s := ca.pool.Get().(*session)
 		defer ca.pool.Put(s)
+		var firstErr error
 		for lo := 0; lo < len(paramSets); lo += batchChunk {
 			if err := ctx.Err(); err != nil {
-				record(lo, err)
+				if firstErr == nil {
+					firstErr = batchPointError(lo, err)
+				}
 				break
 			}
-			evalChunk(s, lo)
+			if i, err := ca.evalBatchChunk(ctx, s, idx, po, paramSets, out, lo); err != nil && firstErr == nil {
+				firstErr = batchPointError(i, err)
+			}
 		}
-		return out, errVal
+		return out, firstErr
+	}
+	// Fan out. The workers capture a copy of ctx, so the parameter
+	// itself never escapes and the serial path above stays
+	// allocation-free beyond out.
+	wctx := ctx
+	errIdx := len(paramSets)
+	var errVal error
+	var errMu sync.Mutex
+	record := func(i int, err error) {
+		errMu.Lock()
+		if i < errIdx {
+			errIdx, errVal = i, err
+		}
+		errMu.Unlock()
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -324,16 +302,70 @@ func (ca *CompiledAssembly) PfailBatchCtx(ctx context.Context, service string, p
 				if c >= numChunks {
 					return
 				}
-				if err := ctx.Err(); err != nil {
+				if err := wctx.Err(); err != nil {
 					record(c*batchChunk, err)
 					return
 				}
-				evalChunk(s, c*batchChunk)
+				if i, err := ca.evalBatchChunk(wctx, s, idx, po, paramSets, out, c*batchChunk); err != nil {
+					record(i, err)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	return out, errVal
+	if errVal != nil {
+		return out, batchPointError(errIdx, errVal)
+	}
+	return out, nil
+}
+
+// batchPointError wraps point i's failure into PfailBatchCtx's error.
+func batchPointError(i int, err error) error {
+	return fmt.Errorf("core: batch point %d: %w", i, classify(err))
+}
+
+// evalBatchChunk evaluates the chunk of batchChunk points starting at lo
+// into out, on session s, and returns the lowest failing index in the
+// chunk with its raw error (nil when every point succeeded). A failing
+// point leaves NaN and does not stop its siblings; a cancellation stops
+// the chunk at a point boundary.
+func (ca *CompiledAssembly) evalBatchChunk(ctx context.Context, s *session, idx int, po *parametricOutput, paramSets [][]float64, out []float64, lo int) (int, error) {
+	hi := min(lo+batchChunk, len(paramSets))
+	if po != nil && ca.parametricChunk(po, s, paramSets[lo:hi], out[lo:hi]) {
+		if cerr := ctx.Err(); cerr != nil {
+			// The cancellation fired while the chunk was in flight;
+			// discard its results to keep the stop-at-a-point-boundary
+			// contract.
+			for i := lo; i < hi; i++ {
+				out[i] = math.NaN()
+			}
+			return lo, cerr
+		}
+		ca.parametricPoints.Add(uint64(hi - lo))
+		return 0, nil
+	}
+	if ca.parametric != nil {
+		ca.numericPoints.Add(uint64(hi - lo))
+	}
+	var firstAt int
+	var firstErr error
+	for i := lo; i < hi; i++ {
+		if err := ctx.Err(); err != nil {
+			if firstErr == nil {
+				firstAt, firstErr = i, err
+			}
+			break
+		}
+		p, err := guardPfail(func() (float64, error) { return s.pfailTop(idx, paramSets[i]) })
+		if err != nil {
+			if firstErr == nil {
+				firstAt, firstErr = i, err
+			}
+			continue
+		}
+		out[i] = p
+	}
+	return firstAt, firstErr
 }
 
 // ReliabilityBatch is PfailBatch mapped through 1 - p.

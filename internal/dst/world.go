@@ -122,9 +122,9 @@ func buildAssembly() (*assembly.Assembly, error) {
 	return asm, nil
 }
 
-// NewWorld builds the fleet on a fresh virtual timeline and warms every
-// replica's degradation store for both scopes, recording the exact
-// oracle values the invariants check against.
+// NewWorld builds the fleet on a fresh virtual timeline and serves every
+// replica one exact answer per scope, recording the exact oracle values
+// the invariants check against.
 func NewWorld(opts Options) (*World, error) {
 	if opts.Replicas <= 0 {
 		opts.Replicas = 3
@@ -185,8 +185,8 @@ func NewWorld(opts Options) (*World, error) {
 	}
 	w.fleet = f
 
-	// Warm each replica's stale store for both scopes directly (no
-	// routing), pinning the oracle and checking replica agreement.
+	// Serve each replica both scopes directly (no routing), pinning the
+	// oracle and checking replica agreement.
 	for _, n := range f.Nodes() {
 		for _, scope := range w.scopes() {
 			ans := n.Server().Serve(context.Background(), server.Request{

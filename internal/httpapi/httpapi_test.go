@@ -43,7 +43,7 @@ func TestAnswerWire(t *testing.T) {
 		},
 		{
 			name:   "bounded carries lo and hi",
-			ans:    socruntime.BoundedInterval(0.125, 0.5, boom),
+			ans:    socruntime.Answer{Kind: socruntime.Bounded, Pfail: 0.5, Lo: 0.125, Hi: 0.5, Err: boom},
 			status: http.StatusOK,
 			body:   PredictResponse{Kind: "bounded", Pfail: 0.5, Reliability: 0.5, Lo: ptr(0.125), Hi: ptr(0.5), Error: boom.Error()},
 		},

@@ -17,12 +17,17 @@ type AnswerKind int
 const (
 	// Exact means the value was freshly computed by the engine.
 	Exact AnswerKind = iota + 1
-	// Stale means the exact computation was unavailable and the value is
-	// the last known good one; AsOf and Age carry the staleness.
+	// Stale means the exact computation was unavailable and the value
+	// comes from the last known good model: the Supervisor's last exact
+	// value, or the serving layer's closed form evaluated at the requested
+	// point. AsOf is when that model last answered exactly; Age is the
+	// staleness at answer time.
 	Stale
-	// Bounded means no exact value was available but a conservative
-	// interval was derived from the iterative solver's residual; Lo and Hi
-	// bound the true value and Pfail holds the conservative (upper) end.
+	// Bounded means no exact value was available and an iterative solver
+	// stopped short: Lo and Hi are the last known good value widened by
+	// the solver's residual (the vacuous [0, 1] without one), and Pfail
+	// holds the upper end. The residual is an iterate difference, not a
+	// certified error bound.
 	Bounded
 	// Unavailable means no answer could be produced at all: no exact
 	// value, no last known good, no residual bound. Err carries the cause.
@@ -55,7 +60,7 @@ type Answer struct {
 	// known good value (Stale), or the conservative upper bound (Bounded).
 	// Zero and meaningless for Unavailable.
 	Pfail float64
-	// Lo and Hi bound the true Pfail for Bounded answers.
+	// Lo and Hi are the interval of a Bounded answer.
 	Lo, Hi float64
 	// Provider is the bound provider the value was computed under.
 	Provider string
@@ -76,10 +81,10 @@ func (a Answer) Reliability() float64 { return 1 - a.Pfail }
 func (a Answer) IsExact() bool { return a.Kind == Exact && a.Err == nil }
 
 // LastGood is a previously computed exact evaluation, the raw material of
-// Stale (and residual-centered Bounded) answers. The Supervisor keeps one
-// internally; serving layers that cache many exact answers (e.g. the
-// admission-controlled prediction front end) keep one per parameter point
-// and hand it to Degrade when shedding load.
+// the Supervisor's Stale (and residual-centered Bounded) answers. The
+// serving layer keeps none: it answers Stale by evaluating a scope's
+// closed form at the requested point, dated by the scope's last exact
+// answer, and passes no last-good value to Degrade.
 type LastGood struct {
 	// Pfail is the exact value.
 	Pfail float64
@@ -132,21 +137,6 @@ func Degrade(cause error, last *LastGood, now time.Time) Answer {
 		}
 	}
 	return Answer{Kind: Unavailable, Err: cause}
-}
-
-// BoundedInterval builds a Bounded answer from an externally derived
-// interval — e.g. the serving layer's sliding min/max window over recent
-// exact answers, used when saturation forces an answer without an
-// evaluation and no per-point snapshot exists. Pfail carries the
-// conservative (upper) end; cause is the error that forced the
-// degradation. The interval is clamped to [0,1] and inverted bounds are
-// widened to the vacuous [0,1] rather than trusted.
-func BoundedInterval(lo, hi float64, cause error) Answer {
-	lo, hi = clamp01(lo), clamp01(hi)
-	if lo > hi {
-		lo, hi = 0, 1
-	}
-	return Answer{Kind: Bounded, Pfail: hi, Lo: lo, Hi: hi, Err: cause}
 }
 
 func clamp01(v float64) float64 {

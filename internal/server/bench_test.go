@@ -2,30 +2,30 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"socrel/internal/assembly"
 	"socrel/internal/core"
+	socruntime "socrel/internal/runtime"
 )
 
 // benchPoints is the number of distinct search points the Serve
-// benchmarks cycle through: enough to vary the evaluation, few enough
-// that the stale store stops growing after the first lap, so allocs/op
-// is the steady state's own.
+// benchmarks cycle through, to vary the evaluation.
 const benchPoints = 64
 
-// benchRemote compiles the paper's remote assembly to closed forms, the
-// artifact relserve and relfleet serve by default.
-func benchRemote(b *testing.B) *core.CompiledAssembly {
-	b.Helper()
+// compileRemote compiles the paper's remote assembly to closed forms,
+// the artifact relserve and relfleet serve by default.
+func compileRemote(tb testing.TB) *core.CompiledAssembly {
+	tb.Helper()
 	asm, err := assembly.RemoteAssembly(assembly.DefaultPaperParams())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ca, err := core.CompileParametric(asm, core.Options{}, core.ParametricOptions{}, "search")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ca
 }
@@ -45,7 +45,7 @@ func benchServe(b *testing.B, ev Evaluator, hedge HedgeConfig) {
 		reqs[i] = Request{Params: []float64{1, float64(1024 + 64*i), 1}}
 	}
 	ctx := context.Background()
-	for _, r := range reqs { // warm the stale store and session pool
+	for _, r := range reqs { // warm the session pool
 		srv.Serve(ctx, r)
 	}
 	b.ReportAllocs()
@@ -59,35 +59,66 @@ func benchServe(b *testing.B, ev Evaluator, hedge HedgeConfig) {
 
 // BenchmarkServeInline is one Serve of a closed-form point on the
 // inline path, with the default (hedging-on) configuration: the cost of
-// admission, the limiter slot, the stats and the stale store around a
-// ~0.2 us evaluation.
+// admission, the limiter slot, the stats and the scope's last-exact
+// record around a ~0.2 us evaluation.
 func BenchmarkServeInline(b *testing.B) {
-	benchServe(b, benchRemote(b), HedgeConfig{})
+	benchServe(b, compileRemote(b), HedgeConfig{})
 }
 
 // BenchmarkServeGoroutine is the same point through an evaluator that
 // does not opt in: an evaluation goroutine, a results channel and a
 // cancel context per request, plus the hedge timer when hedging is on.
 func BenchmarkServeGoroutine(b *testing.B) {
-	ca := benchRemote(b)
+	ca := compileRemote(b)
 	b.Run("hedge=on", func(b *testing.B) { benchServe(b, opaqueEval{ca}, HedgeConfig{}) })
 	b.Run("hedge=off", func(b *testing.B) { benchServe(b, opaqueEval{ca}, HedgeConfig{Disabled: true}) })
 }
 
-// BenchmarkServeBatch is one 256-point ServeBatch through the compiled
-// batch kernel; ns/op covers the whole grid.
+// BenchmarkServeBatch is one ServeBatch through the compiled batch
+// kernel at 64 and 256 points; ns/op covers the whole grid. Nothing the
+// server does after the kernel is per point beyond writing the answer,
+// so allocs/op is the same at both sizes.
 func BenchmarkServeBatch(b *testing.B) {
-	srv := New(benchRemote(b), Config{Service: "search"})
-	req := BatchRequest{ParamSets: make([][]float64, 256)}
-	for i := range req.ParamSets {
-		req.ParamSets[i] = []float64{1, float64(1024 + 16*i), 1}
+	ca := compileRemote(b)
+	for _, n := range []int{64, 256} {
+		b.Run(fmt.Sprintf("points=%d", n), func(b *testing.B) {
+			srv := New(ca, Config{Service: "search"})
+			req := BatchRequest{ParamSets: make([][]float64, n)}
+			for i := range req.ParamSets {
+				req.ParamSets[i] = []float64{1, float64(1024 + 16*i), 1}
+			}
+			ctx := context.Background()
+			srv.ServeBatch(ctx, req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.ServeBatch(ctx, req)
+			}
+		})
 	}
+}
+
+// BenchmarkServeShed is one shed request on a draining closed-form
+// server whose scope has an exact answer: the Stale answer is the closed
+// form evaluated at the requested point, and every request asks at a
+// point never asked before.
+func BenchmarkServeShed(b *testing.B) {
+	srv := New(compileRemote(b), Config{Service: "search"})
 	ctx := context.Background()
-	srv.ServeBatch(ctx, req)
+	params := []float64{1, 1024, 1}
+	if ans := srv.Serve(ctx, Request{Params: params}); !ans.IsExact() {
+		b.Fatal(ans.Err)
+	}
+	if _, err := srv.Drain(ctx, time.Second); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.ServeBatch(ctx, req)
+		params[1] = 1025 + float64(i)
+		if ans := srv.Serve(ctx, Request{Params: params}); ans.Kind != socruntime.Stale {
+			b.Fatalf("shed answer %+v, want Stale", ans)
+		}
 	}
 }
 

@@ -214,6 +214,34 @@ func TestInlinePastDeadlineDegradesCanceled(t *testing.T) {
 			t.Fatalf("Inflight = %d, outcomes = %d, want 0 and 1", st.Inflight, outcomes)
 		}
 	})
+	t.Run("server clock with a record", func(t *testing.T) {
+		// Once the scope has an exact answer, the passed deadline is
+		// answered Stale at the requested point; the Stale evaluation
+		// emits no outcome of its own.
+		clock := socruntime.NewFakeClock(time.Unix(1000, 0))
+		var outcomes int
+		srv := New(clockJump{ca, clock, time.Second}, Config{
+			Service:   "loop",
+			Clock:     clock,
+			OnOutcome: func(Outcome) { outcomes++ },
+		})
+		seed := srv.Serve(context.Background(), Request{Params: []float64{64}})
+		if !seed.IsExact() {
+			t.Fatalf("seed: %+v", seed)
+		}
+		ans := srv.Serve(context.Background(), Request{Params: []float64{128}, Timeout: 100 * time.Millisecond})
+		checkInvariant(t, ans)
+		want, err := ca.Pfail("loop", 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Kind != socruntime.Stale || ans.Pfail != want || !ans.AsOf.Equal(seed.AsOf) || !errors.Is(ans.Err, core.ErrCanceled) {
+			t.Fatalf("got %+v, want Stale %v as of %v wrapping core.ErrCanceled", ans, want, seed.AsOf)
+		}
+		if st := srv.Stats(); st.Inflight != 0 || outcomes != 2 {
+			t.Fatalf("Inflight = %d, outcomes = %d, want 0 and 2", st.Inflight, outcomes)
+		}
+	})
 	t.Run("context deadline", func(t *testing.T) {
 		// A wall-clock deadline in the past admits on a fake clock that
 		// is decades earlier; the evaluator sees the expired context.

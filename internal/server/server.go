@@ -25,16 +25,21 @@
 // opts a request out of that machinery: core.CompiledAssembly does for
 // a root compiled to a closed form, whose ~0.2 µs in-process
 // evaluation no hedge can beat and no watcher needs to interrupt. Such
-// a request keeps admission, its limiter slot, the latency feeds, the
-// stale store and its outcome, but evaluates on the caller's goroutine.
-// Numeric and interpreted evaluators keep the goroutine path.
+// a request keeps admission, its limiter slot, the latency feeds and
+// its outcome, but evaluates on the caller's goroutine. Numeric and
+// interpreted evaluators keep the goroutine path.
 //
 // Every request gets a tagged runtime.Answer instead of a silent
-// timeout: as saturation deepens the ladder downgrades Exact → Stale
-// (the per-point snapshot of the last exact answer) → Bounded (a
-// solver-residual interval via runtime.Degrade, or the sliding min/max
-// of recent exact answers) → Unavailable, and the exact ⇔ nil-error
-// invariant of the runtime package holds throughout.
+// timeout. The server keeps one record per scope: the time of its last
+// exact answer. When the server itself refuses to evaluate a request
+// (a shed, a drain, an expiry or cancellation while queued, an inline
+// deadline that passed) and the scope has a record and an inline
+// evaluator, the answer is Stale: the scope's closed form evaluated at
+// the requested point, as of the record. Any other failure degrades
+// through runtime.Degrade with no last-good value, so it is Bounded
+// only on a solver residual (the vacuous [0, 1]) and Unavailable
+// otherwise. The exact ⇔ nil-error invariant of the runtime package
+// holds throughout.
 //
 // All time-dependent behavior runs against runtime.Clock, so queue,
 // limiter, and hedging tests are deterministic with a FakeClock and no
@@ -112,14 +117,6 @@ type Config struct {
 	// EstimateDecay is the EWMA factor in (0, 1] for the service-time
 	// estimate (default 0.2).
 	EstimateDecay float64
-	// StaleCapacity bounds the per-point snapshot store backing Stale
-	// answers (default 4096 entries; the store is reset wholesale at
-	// capacity, like the engine memo).
-	StaleCapacity int
-	// BoundsWindow is how many recent exact answers feed the per-scope
-	// [min, max] interval used for Bounded answers when no per-point
-	// snapshot exists (default 64).
-	BoundsWindow int
 	// Clock drives every queue, limiter, and hedging decision (default
 	// the wall clock).
 	Clock socruntime.Clock
@@ -188,10 +185,11 @@ const (
 type Request struct {
 	// Service names the evaluation target (default Config.Service).
 	Service string
-	// Scope partitions the stale-answer store. Callers multiplexing
-	// several models through one server (e.g. per-request artifact
-	// dispatch) must set it to the model's identity, or degraded answers
-	// computed for one model could serve another's requests.
+	// Scope names the model the request evaluates; the server keeps
+	// the time of each scope's last exact answer, which dates its Stale
+	// answers. Callers multiplexing several models through one server
+	// (e.g. per-request artifact dispatch) must set it to the model's
+	// identity, or one model's record could vouch for another's.
 	Scope string
 	// Params are the actual parameters.
 	Params []float64
@@ -209,7 +207,7 @@ type Request struct {
 type BatchRequest struct {
 	// Service names the evaluation target (default Config.Service).
 	Service string
-	// Scope partitions the stale-answer store (see Request.Scope).
+	// Scope names the model the grid evaluates (see Request.Scope).
 	Scope string
 	// ParamSets are the parameter points.
 	ParamSets [][]float64
@@ -237,7 +235,7 @@ type Stats struct {
 	ShedDraining uint64
 	// Hedging counters.
 	HedgesLaunched, HedgeWins uint64
-	// Repaired counts stale-store entries adopted via RepairSnapshot
+	// Repaired counts last-exact times adopted via RepairLastExact
 	// (read-repair from a peer's fresher answer).
 	Repaired uint64
 	// Limit is the AIMD limiter's current window; Inflight and
@@ -261,48 +259,21 @@ type Server struct {
 	eval   Evaluator
 	inline InlineEvaluator // eval's inline fast path, nil if it has none
 
-	mu       sync.Mutex
-	queue    *admissionQueue
-	limiter  *aimdLimiter
-	lat      *latencyDigest
-	stale    map[string]socruntime.LastGood
-	bounds   map[string]*boundsRing // per-scope rings of recent exact answers
-	stats    Stats
-	draining bool
-	drained  chan struct{} // closed once draining and quiescent
+	mu        sync.Mutex
+	queue     *admissionQueue
+	limiter   *aimdLimiter
+	lat       *latencyDigest
+	lastExact map[string]time.Time // scope → time of its last exact answer
+	stats     Stats
+	draining  bool
+	drained   chan struct{} // closed once draining and quiescent
 }
 
-// boundsRing is a sliding window of recent exact answers for one scope,
-// backing the Bounded rung of the degradation ladder. Rings are per
-// scope so interval bounds never mix answers from different models.
-type boundsRing struct {
-	vals []float64
-	n, i int
-}
-
-func (r *boundsRing) push(p float64) {
-	r.vals[r.i] = p
-	r.i = (r.i + 1) % len(r.vals)
-	if r.n < len(r.vals) {
-		r.n++
-	}
-}
-
-func (r *boundsRing) minMax() (lo, hi float64, ok bool) {
-	if r == nil || r.n == 0 {
-		return 0, 0, false
-	}
-	lo, hi = r.vals[0], r.vals[0]
-	for _, p := range r.vals[:r.n] {
-		if p < lo {
-			lo = p
-		}
-		if p > hi {
-			hi = p
-		}
-	}
-	return lo, hi, true
-}
+// lastExactCap bounds the scope → last-exact-time map. A new scope
+// arriving at capacity clears it wholesale, like the engine memo; a
+// cleared scope answers Unavailable on a shed until its next exact
+// answer.
+const lastExactCap = 4096
 
 // New builds a Server over eval. eval must not be nil.
 func New(eval Evaluator, cfg Config) *Server {
@@ -312,12 +283,6 @@ func New(eval Evaluator, cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = socruntime.RealClock{}
 	}
-	if cfg.StaleCapacity <= 0 {
-		cfg.StaleCapacity = 4096
-	}
-	if cfg.BoundsWindow <= 0 {
-		cfg.BoundsWindow = 64
-	}
 	for pri, def := range [3]float64{1.0, severeFill, 0.5} {
 		if cfg.Classes[pri].ShedFill <= 0 {
 			cfg.Classes[pri].ShedFill = def
@@ -326,15 +291,14 @@ func New(eval Evaluator, cfg Config) *Server {
 	cfg.Hedge = cfg.Hedge.withDefaults()
 	inline, _ := eval.(InlineEvaluator)
 	return &Server{
-		cfg:     cfg,
-		clock:   cfg.Clock,
-		eval:    eval,
-		inline:  inline,
-		queue:   newAdmissionQueue(cfg.QueueCapacity, cfg.LIFODepth),
-		limiter: newLimiter(cfg.Limiter),
-		lat:     newLatencyDigest(cfg.InitialEstimate, cfg.EstimateDecay, 0),
-		stale:   make(map[string]socruntime.LastGood),
-		bounds:  make(map[string]*boundsRing),
+		cfg:       cfg,
+		clock:     cfg.Clock,
+		eval:      eval,
+		inline:    inline,
+		queue:     newAdmissionQueue(cfg.QueueCapacity, cfg.LIFODepth),
+		limiter:   newLimiter(cfg.Limiter),
+		lat:       newLatencyDigest(cfg.InitialEstimate, cfg.EstimateDecay, 0),
+		lastExact: make(map[string]time.Time),
 	}
 }
 
@@ -385,7 +349,6 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 	if service == "" {
 		service = s.cfg.Service
 	}
-	key := snapshotKey(req.Scope, service, req.Params)
 	now := s.clock.Now()
 	deadline := s.effectiveDeadline(ctx, now, req.Timeout)
 
@@ -395,9 +358,9 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 		req.Priority = BestEffort
 	}
 	if cause := s.admitLocked(req.Priority, deadline, now); cause != nil {
-		ans := s.degradeLocked(req.Scope, key, cause, now)
+		asOf := s.lastExact[req.Scope]
 		s.mu.Unlock()
-		return ans
+		return s.shed(ctx, service, req.Params, cause, now, asOf)
 	}
 	s.stats.Admitted++
 	var w *waiter
@@ -411,10 +374,7 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 
 	if w != nil {
 		if cause := s.await(ctx, w); cause != nil {
-			s.mu.Lock()
-			ans := s.degradeLocked(req.Scope, key, cause, s.clock.Now())
-			s.mu.Unlock()
-			return ans
+			return s.shed(ctx, service, req.Params, cause, s.clock.Now(), s.lastExactAt(req.Scope))
 		}
 	}
 
@@ -435,15 +395,23 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 	s.limiter.release()
 	s.dispatchLocked()
 	var ans socruntime.Answer
-	if err == nil {
+	var asOf time.Time
+	switch {
+	case err == nil:
 		s.lat.observe(end.Sub(start))
-		s.recordExactLocked(req.Scope, key, p, end)
+		s.recordExactLocked(req.Scope, end)
 		s.stats.Exact++
 		ans = socruntime.Answer{Kind: socruntime.Exact, Pfail: p, AsOf: end}
-	} else {
-		ans = s.degradeLocked(req.Scope, key, err, end)
+	case err == errDeadlinePassed:
+		asOf = s.lastExact[req.Scope]
+	default:
+		ans = socruntime.Degrade(err, nil, end)
+		s.countLocked(ans.Kind)
 	}
 	s.mu.Unlock()
+	if err == errDeadlinePassed {
+		ans = s.shed(ctx, service, req.Params, err, end, asOf)
+	}
 
 	if s.cfg.OnOutcome != nil {
 		s.cfg.OnOutcome(Outcome{
@@ -480,8 +448,9 @@ func (s *Server) ServeBatch(ctx context.Context, req BatchRequest) []socruntime.
 		req.Priority = BestEffort
 	}
 	if cause := s.admitLocked(req.Priority, deadline, now); cause != nil {
-		s.degradeBatchLocked(out, req.Scope, service, req.ParamSets, cause, now)
+		asOf := s.lastExact[req.Scope]
 		s.mu.Unlock()
+		s.shedBatch(ctx, out, service, req.ParamSets, cause, now, asOf)
 		return out
 	}
 	s.stats.Admitted++
@@ -495,9 +464,7 @@ func (s *Server) ServeBatch(ctx context.Context, req BatchRequest) []socruntime.
 
 	if w != nil {
 		if cause := s.await(ctx, w); cause != nil {
-			s.mu.Lock()
-			s.degradeBatchLocked(out, req.Scope, service, req.ParamSets, cause, s.clock.Now())
-			s.mu.Unlock()
+			s.shedBatch(ctx, out, service, req.ParamSets, cause, s.clock.Now(), s.lastExactAt(req.Scope))
 			return out
 		}
 	}
@@ -520,19 +487,23 @@ func (s *Server) ServeBatch(ctx context.Context, req BatchRequest) []socruntime.
 	if err == nil && ps == nil {
 		err = fmt.Errorf("server: batch evaluator returned no results")
 	}
-	for i, params := range req.ParamSets {
-		key := snapshotKey(req.Scope, service, params)
+	exact := uint64(0)
+	for i := range out {
 		if i < len(ps) && !math.IsNaN(ps[i]) {
-			s.recordExactLocked(req.Scope, key, ps[i], end)
-			s.stats.Exact++
 			out[i] = socruntime.Answer{Kind: socruntime.Exact, Pfail: ps[i], AsOf: end}
+			exact++
 			continue
 		}
 		cause := err
 		if cause == nil {
 			cause = fmt.Errorf("server: batch point %d not evaluated", i)
 		}
-		out[i] = s.degradeLocked(req.Scope, key, cause, end)
+		out[i] = socruntime.Degrade(cause, nil, end)
+		s.countLocked(out[i].Kind)
+	}
+	if exact > 0 {
+		s.stats.Exact += exact
+		s.recordExactLocked(req.Scope, end)
 	}
 	return out
 }
@@ -706,90 +677,51 @@ func (s *Server) Drain(ctx context.Context, timeout time.Duration) (Stats, error
 	}
 }
 
-// Snapshot returns the per-point stale-store entry for (scope, service,
-// params) — the value a degraded answer for that point would serve. An
-// empty service resolves to the configured default, matching Serve.
-func (s *Server) Snapshot(scope, service string, params []float64) (socruntime.LastGood, bool) {
-	if service == "" {
-		service = s.cfg.Service
+// RepairLastExact adopts an exact answer's time learned elsewhere
+// (typically a peer replica's answer observed across a forward) as the
+// scope's last exact time, but only when it is strictly later than the
+// local record: read-repair never rolls a scope backward. It reports
+// whether the time was adopted. A zero time is rejected.
+func (s *Server) RepairLastExact(scope string, at time.Time) bool {
+	if at.IsZero() {
+		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lg, ok := s.stale[snapshotKey(scope, service, params)]
-	return lg, ok
-}
-
-// RepairSnapshot folds an exact value learned elsewhere — typically a
-// peer replica's fresher answer observed across a forward — into the
-// stale store and the scope's bounds window, but only when it is
-// strictly fresher than the local entry; read-repair must never roll a
-// point backward. It reports whether the entry was adopted. Values
-// outside [0, 1] or carrying no timestamp are rejected.
-func (s *Server) RepairSnapshot(scope, service string, params []float64, lg socruntime.LastGood) bool {
-	if service == "" {
-		service = s.cfg.Service
-	}
-	if lg.At.IsZero() || math.IsNaN(lg.Pfail) || lg.Pfail < 0 || lg.Pfail > 1 {
+	if !s.recordExactLocked(scope, at) {
 		return false
 	}
-	key := snapshotKey(scope, service, params)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.stale[key]; ok && !cur.At.Before(lg.At) {
-		return false
-	}
-	if len(s.stale) >= s.cfg.StaleCapacity {
-		clear(s.stale)
-	}
-	s.stale[key] = lg
-	ring := s.bounds[scope]
-	if ring == nil {
-		if len(s.bounds) >= s.cfg.StaleCapacity {
-			clear(s.bounds)
-		}
-		ring = &boundsRing{vals: make([]float64, s.cfg.BoundsWindow)}
-		s.bounds[scope] = ring
-	}
-	ring.push(lg.Pfail)
 	s.stats.Repaired++
 	return true
 }
 
-// recordExactLocked refreshes the per-point snapshot and the scope's
-// bounds window with one exact answer.
-func (s *Server) recordExactLocked(scope, key string, p float64, at time.Time) {
-	if len(s.stale) >= s.cfg.StaleCapacity {
-		clear(s.stale)
-	}
-	s.stale[key] = socruntime.LastGood{Pfail: p, At: at}
-	ring := s.bounds[scope]
-	if ring == nil {
-		if len(s.bounds) >= s.cfg.StaleCapacity {
-			clear(s.bounds)
-		}
-		ring = &boundsRing{vals: make([]float64, s.cfg.BoundsWindow)}
-		s.bounds[scope] = ring
-	}
-	ring.push(p)
+// lastExactAt returns the scope's last exact time, zero when it has
+// none.
+func (s *Server) lastExactAt(scope string) time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastExact[scope]
 }
 
-// degradeLocked walks the degradation ladder for one request that could
-// not be answered exactly: Stale from the per-point snapshot, Bounded
-// from a solver residual (runtime.Degrade) or from the scope's
-// recent-exact interval, Unavailable as the floor. The returned answer
-// always carries cause.
-func (s *Server) degradeLocked(scope, key string, cause error, now time.Time) socruntime.Answer {
-	var last *socruntime.LastGood
-	if lg, ok := s.stale[key]; ok {
-		last = &lg
+// recordExactLocked moves the scope's last exact time forward to at,
+// reporting whether it moved.
+func (s *Server) recordExactLocked(scope string, at time.Time) bool {
+	cur, ok := s.lastExact[scope]
+	if ok && !at.After(cur) {
+		return false
 	}
-	ans := socruntime.Degrade(cause, last, now)
-	if ans.Kind == socruntime.Unavailable {
-		if lo, hi, ok := s.bounds[scope].minMax(); ok {
-			ans = socruntime.BoundedInterval(lo, hi, cause)
-		}
+	if !ok && len(s.lastExact) >= lastExactCap {
+		clear(s.lastExact)
 	}
-	switch ans.Kind {
+	s.lastExact[scope] = at
+	return true
+}
+
+// countLocked tallies one answer of kind k.
+func (s *Server) countLocked(k socruntime.AnswerKind) {
+	switch k {
+	case socruntime.Exact:
+		s.stats.Exact++
 	case socruntime.Stale:
 		s.stats.Stale++
 	case socruntime.Bounded:
@@ -797,14 +729,77 @@ func (s *Server) degradeLocked(scope, key string, cause error, now time.Time) so
 	default:
 		s.stats.Unavailable++
 	}
+}
+
+// staleFrom reports whether a request the server refused to evaluate
+// may be answered Stale: its scope has an exact answer on record (asOf)
+// and the evaluator serves the request inline, so evaluating the
+// scope's closed form costs no more than refusing it.
+func (s *Server) staleFrom(ctx context.Context, service string, asOf time.Time) bool {
+	return !asOf.IsZero() && s.inline != nil && s.inline.Inline(ctx, service)
+}
+
+// shed answers one request the server refused to evaluate: cause is
+// the server's own (an admission shed, a drain, an expiry or
+// cancellation while queued, or an inline deadline that passed) and
+// asOf is the scope's last exact time, zero when it has none. Where
+// staleFrom allows, the answer is Stale at the requested point: the
+// evaluation runs outside s.mu, under a context the request's end
+// cannot cancel, and takes no limiter slot, latency sample or outcome,
+// because it is the degraded answer, not an observation of the model.
+// Otherwise, or when that evaluation fails, the answer is
+// runtime.Degrade with no last-good value.
+func (s *Server) shed(ctx context.Context, service string, params []float64, cause error, now, asOf time.Time) socruntime.Answer {
+	var ans socruntime.Answer
+	if s.staleFrom(ctx, service, asOf) {
+		if p, err := s.eval.PfailCtx(detached(ctx), service, params...); err == nil {
+			ans = staleAnswer(p, cause, now, asOf)
+		}
+	}
+	if ans.Kind == 0 {
+		ans = socruntime.Degrade(cause, nil, now)
+	}
+	s.mu.Lock()
+	s.countLocked(ans.Kind)
+	s.mu.Unlock()
 	return ans
 }
 
-// degradeBatchLocked degrades every point of a shed batch.
-func (s *Server) degradeBatchLocked(out []socruntime.Answer, scope, service string, sets [][]float64, cause error, now time.Time) {
-	for i, params := range sets {
-		out[i] = s.degradeLocked(scope, snapshotKey(scope, service, params), cause, now)
+// shedBatch is shed for every point of a refused grid; a Stale grid is
+// evaluated through the batch kernel when the evaluator has one.
+func (s *Server) shedBatch(ctx context.Context, out []socruntime.Answer, service string, sets [][]float64, cause error, now, asOf time.Time) {
+	var ps []float64
+	if s.staleFrom(ctx, service, asOf) {
+		// A point that failed is NaN and degrades below with the shed
+		// cause, which is what the answer reports; the batch error adds
+		// nothing to it.
+		ps, _ = s.evalPoints(detached(ctx), service, sets)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range out {
+		if i < len(ps) && !math.IsNaN(ps[i]) {
+			out[i] = staleAnswer(ps[i], cause, now, asOf)
+		} else {
+			out[i] = socruntime.Degrade(cause, nil, now)
+		}
+		s.countLocked(out[i].Kind)
+	}
+}
+
+// staleAnswer is the Stale answer p for a request shed at now by cause,
+// dated by its scope's last exact answer at asOf.
+func staleAnswer(p float64, cause error, now, asOf time.Time) socruntime.Answer {
+	return socruntime.Answer{Kind: socruntime.Stale, Pfail: p, AsOf: asOf, Age: now.Sub(asOf), Err: cause}
+}
+
+// detached is ctx without its cancellation and deadline, for a Stale
+// evaluation whose request was shed because ctx ended.
+func detached(ctx context.Context) context.Context {
+	if ctx.Done() == nil {
+		return ctx
+	}
+	return context.WithoutCancel(ctx)
 }
 
 // errDeadlinePassed is an inline evaluation's answer to a deadline that
@@ -823,15 +818,24 @@ func (s *Server) evalInline(ctx context.Context, service string, params []float6
 	return s.eval.PfailCtx(ctx, service, params...)
 }
 
-// evalBatch runs the grid through the backend's batch kernel when it has
-// one, falling back to a per-point loop with cancellation checks at
-// every point boundary.
+// evalBatch runs the grid under the request's deadline: a clock-driven
+// watcher cancels the evaluation when one is set, and ctx passes
+// straight through when none is.
 func (s *Server) evalBatch(ctx context.Context, service string, sets [][]float64, deadline time.Time) ([]float64, error) {
-	evalCtx, cancel, cleanup := s.deadlineCtx(ctx, deadline)
-	defer cleanup()
-	_ = cancel
+	if !deadline.IsZero() {
+		evalCtx, _, cleanup := s.deadlineCtx(ctx, deadline)
+		defer cleanup()
+		ctx = evalCtx
+	}
+	return s.evalPoints(ctx, service, sets)
+}
+
+// evalPoints runs the grid through the backend's batch kernel when it
+// has one, falling back to a per-point loop with cancellation checks at
+// every point boundary. Points that were not evaluated are NaN.
+func (s *Server) evalPoints(ctx context.Context, service string, sets [][]float64) ([]float64, error) {
 	if be, ok := s.eval.(BatchEvaluator); ok {
-		return be.PfailBatchCtx(evalCtx, service, sets)
+		return be.PfailBatchCtx(ctx, service, sets)
 	}
 	out := make([]float64, len(sets))
 	for i := range out {
@@ -839,13 +843,13 @@ func (s *Server) evalBatch(ctx context.Context, service string, sets [][]float64
 	}
 	var firstErr error
 	for i, params := range sets {
-		if err := evalCtx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("server: batch point %d: %w: %w", i, core.ErrCanceled, err)
 			}
 			break
 		}
-		p, err := s.eval.PfailCtx(evalCtx, service, params...)
+		p, err := s.eval.PfailCtx(ctx, service, params...)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("server: batch point %d: %w", i, err)
@@ -884,23 +888,4 @@ func (s *Server) deadlineCtx(ctx context.Context, deadline time.Time) (evalCtx c
 		close(stop)
 		cancel()
 	}
-}
-
-// snapshotKey renders (scope, service, params) into the stale-store key.
-// A typical key is rendered on the stack, so the string is the only
-// allocation.
-func snapshotKey(scope, service string, params []float64) string {
-	var buf [64]byte
-	b := buf[:0]
-	b = append(b, scope...)
-	b = append(b, 0)
-	b = append(b, service...)
-	b = append(b, 0)
-	for _, p := range params {
-		bits := math.Float64bits(p)
-		b = append(b,
-			byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
-	}
-	return string(b)
 }

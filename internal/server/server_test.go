@@ -285,80 +285,163 @@ func TestSweepExpiredOnDispatch(t *testing.T) {
 	}
 }
 
+// TestDegradationLadder pins the ladder for both kinds of evaluator. An
+// inline (closed-form) evaluator answers a shed Stale at the requested
+// point, as of the scope's last exact answer, once the scope has one.
+// Any other evaluator, and any failure of the evaluation itself, goes
+// through runtime.Degrade with no last-good value: Bounded [0, 1] on a
+// solver residual, Unavailable otherwise.
 func TestDegradationLadder(t *testing.T) {
-	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
-	eval := constEval(0.2)
-	srv := New(eval, Config{
-		Service: "app",
-		Hedge:   HedgeConfig{Disabled: true},
-		Clock:   clock,
+	shed := func(t *testing.T, srv *Server, scope string, params ...float64) socruntime.Answer {
+		t.Helper()
+		ans := srv.Serve(context.Background(), Request{Scope: scope, Params: params, Timeout: time.Nanosecond})
+		checkInvariant(t, ans)
+		if !errors.Is(ans.Err, ErrDeadlineBudget) {
+			t.Fatalf("1ns budget: err = %v, want ErrDeadlineBudget", ans.Err)
+		}
+		return ans
+	}
+
+	t.Run("inline", func(t *testing.T) {
+		ca := compileLoop(t, 0)
+		clock := socruntime.NewFakeClock(time.Unix(1000, 0))
+		var outcomes int
+		srv := New(ca, Config{
+			Service:   "loop",
+			Hedge:     HedgeConfig{Disabled: true},
+			Clock:     clock,
+			OnOutcome: func(Outcome) { outcomes++ },
+		})
+		ctx := context.Background()
+		want := func(n float64) float64 {
+			t.Helper()
+			p, err := ca.PfailCtx(ctx, "loop", n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		stale := func(ans socruntime.Answer, n float64, asOf time.Time) {
+			t.Helper()
+			if ans.Kind != socruntime.Stale || math.Float64bits(ans.Pfail) != math.Float64bits(want(n)) {
+				t.Fatalf("n=%v: got %+v, want Stale %v", n, ans, want(n))
+			}
+			if !ans.AsOf.Equal(asOf) || ans.Age != clock.Now().Sub(asOf) {
+				t.Fatalf("n=%v: AsOf %v Age %v, want %v and %v", n, ans.AsOf, ans.Age, asOf, clock.Now().Sub(asOf))
+			}
+		}
+
+		// A shed before the scope's first exact answer: Unavailable.
+		if ans := shed(t, srv, "", 64); ans.Kind != socruntime.Unavailable {
+			t.Fatalf("no history: %+v, want Unavailable", ans)
+		}
+
+		// An exact answer starts the scope's record.
+		t0 := clock.Now()
+		if ans := srv.Serve(ctx, Request{Params: []float64{64}}); ans.Kind != socruntime.Exact || ans.Pfail != want(64) {
+			t.Fatalf("seed answer = %+v, want Exact %v", ans, want(64))
+		}
+
+		// Sheds later: Stale at the same point and at an unseen one, each
+		// the closed form at the requested point, dated by the record.
+		clock.Advance(5 * time.Second)
+		stale(shed(t, srv, "", 64), 64, t0)
+		stale(shed(t, srv, "", 128), 128, t0)
+
+		// Another scope has no record of its own.
+		if ans := shed(t, srv, "other", 64); ans.Kind != socruntime.Unavailable {
+			t.Fatalf("scope without a record: %+v, want Unavailable", ans)
+		}
+
+		// A failure of the evaluation itself is the program's, not the
+		// server's: Unavailable even with a record.
+		ans := srv.Serve(ctx, Request{Params: []float64{1, 2}})
+		checkInvariant(t, ans)
+		if ans.Kind != socruntime.Unavailable || errors.Is(ans.Err, ErrOverloaded) {
+			t.Fatalf("arity error: %+v, want Unavailable with the evaluation's error", ans)
+		}
+
+		// A later exact answer moves the record forward.
+		t1 := clock.Now()
+		if ans := srv.Serve(ctx, Request{Params: []float64{32}}); ans.Kind != socruntime.Exact {
+			t.Fatalf("second exact = %+v", ans)
+		}
+		clock.Advance(time.Second)
+		stale(shed(t, srv, "", 256), 256, t1)
+
+		st := srv.Stats()
+		if st.Exact != 2 || st.Stale != 3 || st.Bounded != 0 || st.Unavailable != 3 {
+			t.Fatalf("ladder stats = %+v", st)
+		}
+		// Sheds and Stale evaluations emit no outcome; the three
+		// evaluations the server ran do.
+		if outcomes != 3 {
+			t.Fatalf("outcomes = %d, want 3", outcomes)
+		}
 	})
-	ctx := context.Background()
 
-	// Fresh failure with no history: Unavailable.
-	eval.set(func(context.Context, string, ...float64) (float64, error) {
-		return 0, errors.New("boom")
+	t.Run("not inline", func(t *testing.T) {
+		clock := socruntime.NewFakeClock(time.Unix(1000, 0))
+		eval := constEval(0.2)
+		srv := New(eval, Config{
+			Service: "app",
+			Hedge:   HedgeConfig{Disabled: true},
+			Clock:   clock,
+		})
+		ctx := context.Background()
+
+		// Fresh failure with no history: Unavailable.
+		eval.set(func(context.Context, string, ...float64) (float64, error) {
+			return 0, errors.New("boom")
+		})
+		ans := srv.Serve(ctx, Request{Params: []float64{9}})
+		checkInvariant(t, ans)
+		if ans.Kind != socruntime.Unavailable {
+			t.Fatalf("no history: kind = %v, want Unavailable", ans.Kind)
+		}
+
+		eval.set(func(context.Context, string, ...float64) (float64, error) { return 0.2, nil })
+		if ans := srv.Serve(ctx, Request{Params: []float64{1}}); ans.Kind != socruntime.Exact {
+			t.Fatalf("seed answer = %+v, want Exact", ans)
+		}
+
+		// The same point fails later: Unavailable with the cause. No
+		// per-point value is kept to serve it Stale.
+		clock.Advance(5 * time.Second)
+		cause := errors.New("backend down")
+		eval.set(func(context.Context, string, ...float64) (float64, error) { return 0, cause })
+		ans = srv.Serve(ctx, Request{Params: []float64{1}})
+		checkInvariant(t, ans)
+		if ans.Kind != socruntime.Unavailable || !errors.Is(ans.Err, cause) {
+			t.Fatalf("got %+v, want Unavailable carrying the cause", ans)
+		}
+
+		// Solver residual with no last-good value: the vacuous [0, 1].
+		eval.set(func(context.Context, string, ...float64) (float64, error) {
+			return 0, &linalg.NoConvergenceError{Iterations: 10, Residual: 0.05}
+		})
+		ans = srv.Serve(ctx, Request{Params: []float64{1}})
+		checkInvariant(t, ans)
+		var nce *linalg.NoConvergenceError
+		if ans.Kind != socruntime.Bounded || ans.Lo != 0 || ans.Hi != 1 || ans.Pfail != 1 || !errors.As(ans.Err, &nce) {
+			t.Fatalf("got %+v, want Bounded [0, 1] carrying the residual", ans)
+		}
+
+		// A shed with a record: Unavailable, and the evaluator is not
+		// asked, because it does not serve inline.
+		calls := eval.callCount()
+		if ans := shed(t, srv, "", 1); ans.Kind != socruntime.Unavailable {
+			t.Fatalf("shed without an inline evaluator: %+v, want Unavailable", ans)
+		}
+		if eval.callCount() != calls {
+			t.Fatal("a shed request was evaluated")
+		}
+
+		st := srv.Stats()
+		if st.Exact != 1 || st.Stale != 0 || st.Bounded != 1 || st.Unavailable != 3 {
+			t.Fatalf("ladder stats = %+v", st)
+		}
 	})
-	ans := srv.Serve(ctx, Request{Params: []float64{9}})
-	checkInvariant(t, ans)
-	if ans.Kind != socruntime.Unavailable {
-		t.Fatalf("no history: kind = %v, want Unavailable", ans.Kind)
-	}
-
-	// Exact answer seeds the per-point snapshot and the bounds window.
-	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0.2, nil })
-	ans = srv.Serve(ctx, Request{Params: []float64{1}})
-	if ans.Kind != socruntime.Exact {
-		t.Fatalf("seed answer = %+v, want Exact", ans)
-	}
-
-	// Same point fails later: Stale with age and cause.
-	clock.Advance(5 * time.Second)
-	cause := errors.New("backend down")
-	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0, cause })
-	ans = srv.Serve(ctx, Request{Params: []float64{1}})
-	checkInvariant(t, ans)
-	if ans.Kind != socruntime.Stale || ans.Pfail != 0.2 {
-		t.Fatalf("got %+v, want Stale 0.2", ans)
-	}
-	if ans.Age != 5*time.Second {
-		t.Fatalf("stale age = %v, want 5s", ans.Age)
-	}
-	if !errors.Is(ans.Err, cause) {
-		t.Fatalf("stale err = %v, want the causing error", ans.Err)
-	}
-
-	// Solver residual: Bounded interval centered on the snapshot.
-	eval.set(func(context.Context, string, ...float64) (float64, error) {
-		return 0, &linalg.NoConvergenceError{Iterations: 10, Residual: 0.05}
-	})
-	ans = srv.Serve(ctx, Request{Params: []float64{1}})
-	checkInvariant(t, ans)
-	if ans.Kind != socruntime.Bounded {
-		t.Fatalf("kind = %v, want Bounded from solver residual", ans.Kind)
-	}
-	if math.Abs(ans.Lo-0.15) > 1e-12 || math.Abs(ans.Hi-0.25) > 1e-12 || ans.Pfail != ans.Hi {
-		t.Fatalf("bounds = [%v, %v] pfail %v, want [0.15, 0.25] 0.25", ans.Lo, ans.Hi, ans.Pfail)
-	}
-
-	// Unseen point with history elsewhere: Bounded from the sliding
-	// window of recent exact answers.
-	eval.set(func(context.Context, string, ...float64) (float64, error) {
-		return 0, errors.New("boom")
-	})
-	ans = srv.Serve(ctx, Request{Params: []float64{2}})
-	checkInvariant(t, ans)
-	if ans.Kind != socruntime.Bounded {
-		t.Fatalf("kind = %v, want Bounded from exact-answer window", ans.Kind)
-	}
-	if ans.Lo != 0.2 || ans.Hi != 0.2 {
-		t.Fatalf("window bounds = [%v, %v], want [0.2, 0.2]", ans.Lo, ans.Hi)
-	}
-
-	st := srv.Stats()
-	if st.Exact != 1 || st.Stale != 1 || st.Bounded != 2 || st.Unavailable != 1 {
-		t.Fatalf("ladder stats = %+v", st)
-	}
 }
 
 func TestHedgeWinsAndCancelsLoser(t *testing.T) {

@@ -92,8 +92,7 @@ func TestChaosSoakOverloadLadder(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	// Warm-up: serve until one exact answer seeds the stale store and the
-	// bounds window, so the ladder has something to degrade to.
+	// Warm-up: serve until one exact answer starts the scope's record.
 	warm := 0
 	for ; warm < 200; warm++ {
 		if srv.Serve(ctx, server.Request{}).IsExact() {
