@@ -380,7 +380,7 @@ func BenchmarkParametricSerial(b *testing.B) {
 // BenchmarkParametricBatch is BenchmarkCompiledBatch (the memo-defeated
 // Figure 6 grid) through a parametric compile; its ns/point against
 // BenchmarkCompiledBatch's is the headline parametric speedup recorded
-// in BENCH_engine.json.
+// in BENCH_core.json.
 func BenchmarkParametricBatch(b *testing.B) {
 	benchFigure6Batch(b, parametricPaperPair(b)[1])
 }

@@ -75,7 +75,6 @@ func run(args []string, out io.Writer) error {
 	queueCap := fs.Int("queue", 64, "per-replica admission queue capacity")
 	maxConc := fs.Int("max-concurrency", 0, "per-replica AIMD limiter ceiling (0 = 4×GOMAXPROCS)")
 	latencyTarget := fs.Duration("latency-target", 50*time.Millisecond, "per-evaluation latency the limiter steers toward")
-	noHedge := fs.Bool("no-hedge", false, "disable request hedging")
 	fixedPoint := fs.Bool("fixedpoint", false, "solve recursive assemblies by fixed-point iteration")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "how long SIGTERM waits for in-flight work before exiting")
 	if err := fs.Parse(args); err != nil {
@@ -102,7 +101,6 @@ func run(args []string, out io.Writer) error {
 			Service:       *service,
 			QueueCapacity: *queueCap,
 			Limiter:       server.LimiterConfig{Max: *maxConc, LatencyTarget: *latencyTarget},
-			Hedge:         server.HedgeConfig{Disabled: *noHedge},
 		},
 		NewEvaluator: func(string) server.Evaluator { return eng.Evaluator() },
 	})

@@ -41,7 +41,7 @@ func newTestFleet(t *testing.T, replicas int) (*cluster.Fleet, *socruntime.FakeC
 			DeadAfter:      9 * time.Second,
 			Clock:          clk,
 		},
-		Server:       server.Config{Service: "search", Hedge: server.HedgeConfig{Disabled: true}},
+		Server:       server.Config{Service: "search"},
 		NewEvaluator: func(string) server.Evaluator { return eng.Evaluator() },
 		NewEstimator: func(id string) *estimate.Estimator {
 			est, err := estimate.New(estimate.Config{Clock: clk})

@@ -103,7 +103,7 @@ func TestWireFormatKeys(t *testing.T) {
 		Node:     cluster.NodeConfig{GossipInterval: time.Second, Clock: clk},
 		// An hour-long service-time estimate sheds any request with a
 		// deadline at admission.
-		Server:       server.Config{Service: "search", InitialEstimate: time.Hour, Hedge: server.HedgeConfig{Disabled: true}},
+		Server:       server.Config{Service: "search", InitialEstimate: time.Hour},
 		NewEvaluator: func(string) server.Evaluator { return eval },
 		NewEstimator: func(string) *estimate.Estimator {
 			est, err := estimate.New(estimate.Config{Clock: clk})
@@ -201,6 +201,9 @@ func TestWireFormatKeys(t *testing.T) {
 	}, []string{
 		"admitted", "shed_queue_full", "shed_class", "shed_deadline", "shed_draining", "swept_expired",
 		"canceled_waiting", "hedges_launched", "hedge_wins", "repaired", "estimated_latency_us", "hedge_delay_us",
-	})
+	},
+		// The server no longer hedges requests.
+		"hedges_launched", "hedge_wins", "hedge_delay_us",
+	)
 	wantKeys(t, "/stats replica estimator", rep.(map[string]any)["estimator"], []string{"observed", "keys", "drift_violations", "merged", "bad_merges"}, nil)
 }

@@ -41,7 +41,7 @@ func TestDrainShedsWith503RetryAfter(t *testing.T) {
 		<-release
 		return 0.015, nil
 	})
-	srv := server.New(eval, server.Config{Service: "search", Hedge: server.HedgeConfig{Disabled: true}})
+	srv := server.New(eval, server.Config{Service: "search"})
 	ts := newTestServerFrom(srv)
 	defer ts.Close()
 	defer close(release)
@@ -98,7 +98,7 @@ func TestDrainAndReportTimeoutOnFakeClock(t *testing.T) {
 		<-release
 		return 0.5, nil
 	})
-	srv := server.New(eval, server.Config{Clock: clk, Hedge: server.HedgeConfig{Disabled: true}})
+	srv := server.New(eval, server.Config{Clock: clk})
 
 	answers := make(chan socruntime.Answer, 1)
 	go func() { answers <- srv.Serve(context.Background(), server.Request{}) }()
@@ -129,7 +129,7 @@ func TestDrainAndReportTimeoutOnFakeClock(t *testing.T) {
 func TestStatsReportsDraining(t *testing.T) {
 	eval := &stubEval{}
 	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0.1, nil })
-	srv := server.New(eval, server.Config{Service: "search", Hedge: server.HedgeConfig{Disabled: true}})
+	srv := server.New(eval, server.Config{Service: "search"})
 	ts := newTestServerFrom(srv)
 	defer ts.Close()
 

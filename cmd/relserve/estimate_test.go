@@ -24,7 +24,6 @@ func newEstimateServer(t *testing.T, eval server.Evaluator) (*httptest.Server, *
 	}
 	srv := server.New(eval, server.Config{
 		Service:   "search",
-		Hedge:     server.HedgeConfig{Disabled: true},
 		OnOutcome: estimateFeed(est),
 	})
 	ts := httptest.NewServer(newMux(srv, nil, est, nil))

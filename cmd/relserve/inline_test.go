@@ -12,8 +12,8 @@ import (
 
 // TestDispatchEvalForwardsInline: the per-request dispatcher answers the
 // server's inline question with the answer of the evaluator the request
-// selected, so a closed-form model is served inline through it and a
-// numeric one keeps the goroutine path.
+// selected, so a closed-form model reports Inline through it and a
+// numeric one does not.
 func TestDispatchEvalForwardsInline(t *testing.T) {
 	doc, err := adl.ParseDSL(storeDSL)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Command relserve serves reliability predictions over HTTP through the
 // overload-resilient serving layer: admission control, AIMD concurrency
-// limiting, priority-class load shedding, request hedging, and the
-// graceful-degradation ladder (exact → stale → bounded → unavailable).
+// limiting, priority-class load shedding, and the graceful-degradation
+// ladder (exact → stale → bounded → unavailable).
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 //	POST /predict        {"service":"search","params":[1,4096,1],"priority":"interactive","timeout_ms":250}
 //	POST /predict/batch  {"service":"search","param_sets":[[1,4096,1],[2,4096,1]],"priority":"batch"}
 //	GET  /healthz        200 while accepting load, 503 at overload
-//	GET  /stats          admission/shedding/hedging counters, artifact-cache and estimator counters
+//	GET  /stats          admission and shedding counters, artifact-cache and estimator counters
 //	GET  /estimates      per-bucket fitted failure rates with confidence intervals and drift verdicts
 //
 // Every completed evaluation also feeds an online failure-parameter
@@ -79,7 +79,6 @@ func run(args []string, out io.Writer) error {
 	queueCap := fs.Int("queue", 64, "admission queue capacity")
 	maxConc := fs.Int("max-concurrency", 0, "AIMD limiter ceiling (0 = 4×GOMAXPROCS)")
 	latencyTarget := fs.Duration("latency-target", 50*time.Millisecond, "per-evaluation latency the limiter steers toward")
-	noHedge := fs.Bool("no-hedge", false, "disable request hedging")
 	fixedPoint := fs.Bool("fixedpoint", false, "solve recursive assemblies by fixed-point iteration")
 	storeDir := fs.String("store", "", "model store directory (':memory:' = volatile in-memory store)")
 	cacheCap := fs.Int("cache", 64, "compiled-artifact cache capacity")
@@ -133,7 +132,6 @@ func run(args []string, out io.Writer) error {
 		Service:       *service,
 		QueueCapacity: *queueCap,
 		Limiter:       server.LimiterConfig{Max: *maxConc, LatencyTarget: *latencyTarget},
-		Hedge:         server.HedgeConfig{Disabled: *noHedge},
 		OnOutcome:     estimateFeed(est),
 	})
 
@@ -176,8 +174,8 @@ func newModelHost(st store.Store, cacheCap int, opts core.Options) *modelHost {
 // modelCtxKey carries the request's evaluator (a stored model's compiled
 // artifact, or the default assembly's evaluator) from the HTTP handler
 // through the admission-controlled server to dispatchEval, so every
-// tenant model is served with full admission control, hedging, and
-// degradation without one server instance per model.
+// tenant model is served with full admission control and degradation
+// without one server instance per model.
 type modelCtxKey struct{}
 
 // dispatchEval routes an evaluation to the evaluator the request
@@ -202,8 +200,9 @@ func (d *dispatchEval) PfailCtx(ctx context.Context, service string, params ...f
 	return eval.PfailCtx(ctx, service, params...)
 }
 
-// Inline forwards the inline fast path: a request is evaluated on the
-// caller's goroutine exactly when the evaluator it selected would be.
+// Inline forwards the question to the evaluator the request selected,
+// so the server skips the deadline watcher for a point and answers a
+// shed Stale exactly when it would for that evaluator.
 func (d *dispatchEval) Inline(ctx context.Context, service string) bool {
 	eval, err := d.resolve(ctx)
 	if err != nil {

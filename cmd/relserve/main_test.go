@@ -65,7 +65,7 @@ func TestPredictExact(t *testing.T) {
 		}
 		return 0.015, nil
 	})
-	ts := newTestServer(eval, server.Config{Hedge: server.HedgeConfig{Disabled: true}})
+	ts := newTestServer(eval, server.Config{})
 	defer ts.Close()
 
 	resp, m := postJSON(t, ts.URL+"/predict", `{"params":[1,4096,1]}`)
@@ -99,7 +99,7 @@ func TestPredictDegradesToStale(t *testing.T) {
 	// An hour-long service-time estimate sheds any request with a
 	// deadline at admission.
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
-	srv := server.New(ca, server.Config{Service: "search", Clock: clk, InitialEstimate: time.Hour, Hedge: server.HedgeConfig{Disabled: true}})
+	srv := server.New(ca, server.Config{Service: "search", Clock: clk, InitialEstimate: time.Hour})
 	ts := httptest.NewServer(newMux(srv, nil, nil, nil))
 	defer ts.Close()
 
@@ -143,7 +143,6 @@ func TestPredictShedViaFullQueue(t *testing.T) {
 	ts := newTestServer(eval, server.Config{
 		QueueCapacity: 1,
 		Limiter:       server.LimiterConfig{Initial: 1, Min: 1, Max: 1},
-		Hedge:         server.HedgeConfig{Disabled: true},
 	})
 	defer ts.Close()
 
@@ -238,7 +237,7 @@ func TestPredictBatch(t *testing.T) {
 	eval.set(func(_ context.Context, _ string, params ...float64) (float64, error) {
 		return 0.1 * params[0], nil
 	})
-	ts := newTestServer(eval, server.Config{Hedge: server.HedgeConfig{Disabled: true}})
+	ts := newTestServer(eval, server.Config{})
 	defer ts.Close()
 
 	resp, m := postJSON(t, ts.URL+"/predict/batch", `{"param_sets":[[1],[2]]}`)
@@ -257,7 +256,7 @@ func TestPredictBatch(t *testing.T) {
 
 func TestPredictBadRequests(t *testing.T) {
 	ts := newTestServer(&stubEval{fn: func(context.Context, string, ...float64) (float64, error) { return 0, nil }},
-		server.Config{Hedge: server.HedgeConfig{Disabled: true}})
+		server.Config{})
 	defer ts.Close()
 
 	resp, _ := postJSON(t, ts.URL+"/predict", `{not json`)
@@ -282,7 +281,7 @@ func TestPredictBadRequests(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	eval := &stubEval{}
 	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0.5, nil })
-	ts := newTestServer(eval, server.Config{Hedge: server.HedgeConfig{Disabled: true}})
+	ts := newTestServer(eval, server.Config{})
 	defer ts.Close()
 
 	if resp, _ := postJSON(t, ts.URL+"/predict", `{}`); resp.StatusCode != 200 {
@@ -303,7 +302,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if m["saturation"] != "normal" {
 		t.Fatalf("saturation = %v, want normal", m["saturation"])
 	}
-	for _, key := range []string{"limit", "queue_depth", "hedges_launched", "shed_queue_full", "estimated_latency_us"} {
+	for _, key := range []string{"limit", "queue_depth", "shed_queue_full", "estimated_latency_us"} {
 		if _, present := m[key]; !present {
 			t.Fatalf("stats missing %q: %v", key, m)
 		}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -35,11 +36,20 @@ func keysOf(t *testing.T, v any) []string {
 }
 
 // wantKeys checks that obj has exactly the original wire keys plus the
-// keys added since: keys may be added to the wire format, never removed
-// or renamed.
-func wantKeys(t *testing.T, what string, obj any, original, added []string) {
+// keys added since, minus the keys removed since. Keys are added freely;
+// a removal or rename is a deliberate wire change, so it must be named
+// in removed rather than dropped from the lists above it.
+func wantKeys(t *testing.T, what string, obj any, original, added []string, removed ...string) {
 	t.Helper()
-	want := append(append([]string{}, original...), added...)
+	var want []string
+	for _, k := range append(append([]string{}, original...), added...) {
+		if !slices.Contains(removed, k) {
+			want = append(want, k)
+		}
+	}
+	if len(want) != len(original)+len(added)-len(removed) {
+		t.Fatalf("%s: removed keys %v are not all in the original or added lists", what, removed)
+	}
 	sort.Strings(want)
 	if got := keysOf(t, obj); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s keys = %v, want %v", what, got, want)
@@ -58,7 +68,6 @@ func TestWireFormatKeys(t *testing.T) {
 	srv := server.New(&dispatchEval{}, server.Config{
 		Service:   "search",
 		Clock:     clk,
-		Hedge:     server.HedgeConfig{Disabled: true},
 		OnOutcome: estimateFeed(est),
 	})
 	asm, err := assembly.LocalAssembly(assembly.DefaultPaperParams())
@@ -107,7 +116,7 @@ func TestWireFormatKeys(t *testing.T) {
 	// Stale: a closed-form server sheds a request after its scope's
 	// first exact answer (an hour-long service-time estimate sheds any
 	// request with a deadline).
-	srv2 := server.New(ca, server.Config{Service: "search", Clock: clk, InitialEstimate: time.Hour, Hedge: server.HedgeConfig{Disabled: true}})
+	srv2 := server.New(ca, server.Config{Service: "search", Clock: clk, InitialEstimate: time.Hour})
 	ts2 := httptest.NewServer(newMux(srv2, nil, nil, nil))
 	defer ts2.Close()
 	if resp, m = doReq(t, "POST", ts2.URL+"/predict", `{"params":[1,4096,1]}`); m["kind"] != "exact" {
@@ -148,7 +157,10 @@ func TestWireFormatKeys(t *testing.T) {
 		"swept_expired", "canceled_waiting", "hedges_launched", "hedge_wins",
 		"limit", "inflight", "queue_depth", "estimated_latency_us", "hedge_delay_us", "saturation",
 		"artifact_cache", "estimator", "parametric",
-	}, []string{"repaired"})
+	}, []string{"repaired"},
+		// The server no longer hedges requests.
+		"hedges_launched", "hedge_wins", "hedge_delay_us",
+	)
 	wantKeys(t, "/stats artifact_cache", m["artifact_cache"], []string{"hits", "misses", "evictions", "entries"}, nil)
 	wantKeys(t, "/stats estimator", m["estimator"], []string{"observed", "keys", "drift_violations", "merged", "bad_merges"}, nil)
 	wantKeys(t, "/stats parametric", m["parametric"], []string{"outputs", "fallbacks", "parametric_points", "numeric_points", "gradient_points"}, nil)

@@ -262,14 +262,12 @@ func Degrade(cause error, last *LastGood, now time.Time) Answer {
 type (
 	// Server is an admission-controlled prediction front end: a bounded
 	// deadline-aware queue, an AIMD concurrency limiter, priority-class
-	// load shedding, request hedging, and the degradation ladder.
+	// load shedding, and the degradation ladder.
 	Server = server.Server
 	// ServerConfig parameterizes a Server.
 	ServerConfig = server.Config
 	// LimiterConfig parameterizes the AIMD concurrency limiter.
 	LimiterConfig = server.LimiterConfig
-	// HedgeConfig parameterizes request hedging.
-	HedgeConfig = server.HedgeConfig
 	// ClassConfig parameterizes one priority class.
 	ClassConfig = server.ClassConfig
 	// ServerRequest is one prediction request.

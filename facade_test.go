@@ -381,7 +381,6 @@ func TestFacadeServingLayer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := socrel.NewServer(tc.ca, socrel.ServerConfig{
 				Service: "search",
-				Hedge:   socrel.HedgeConfig{Disabled: true},
 			})
 			ans := srv.Serve(context.Background(), socrel.ServerRequest{
 				Params:   []float64{1, 4096, 1},
@@ -422,7 +421,6 @@ func TestFacadeCluster(t *testing.T) {
 			GossipInterval: time.Second,
 			Clock:          clk,
 		},
-		Server: socrel.ServerConfig{Hedge: socrel.HedgeConfig{Disabled: true}},
 		NewEvaluator: func(id string) socrel.ServerEvaluator {
 			return facadeConstEval{}
 		},

@@ -32,7 +32,6 @@ func BenchmarkGossipRound(b *testing.B) {
 					Clock:          clk,
 					Seed:           1,
 				},
-				Server:       server.Config{Hedge: server.HedgeConfig{Disabled: true}},
 				NewEvaluator: func(string) server.Evaluator { return constEval{p: 0.25} },
 				NewEstimator: func(string) *estimate.Estimator {
 					est, err := estimate.New(estimate.Config{Clock: clk})
@@ -72,7 +71,7 @@ func BenchmarkGossipRound(b *testing.B) {
 
 // BenchmarkFleetServe times one single-point request into a 3-replica
 // fleet serving the paper's remote assembly compiled to closed forms,
-// shaped like relfleet: real clock, default hedging, every outcome fed
+// shaped like relfleet: real clock, every outcome fed
 // to the replica's estimator, no background gossip. "local" enters at
 // the replica that owns each point and "forwarded" at one that does
 // not, so it adds one hop over LocalTransport and a read-repair;

@@ -22,8 +22,8 @@ func (e constEval) PfailCtx(ctx context.Context, service string, params ...float
 	return e.p, nil
 }
 
-// newTestFleet builds a deterministic fleet on a fake clock: hedging
-// off, explicit gossip timing, optional fault-injected network.
+// newTestFleet builds a deterministic fleet on a fake clock: explicit
+// gossip timing, optional fault-injected network.
 func newTestFleet(t *testing.T, replicas int, net *faultinject.Network, clk socruntime.Clock) *cluster.Fleet {
 	t.Helper()
 	f, err := cluster.NewFleet(cluster.FleetConfig{
@@ -35,7 +35,6 @@ func newTestFleet(t *testing.T, replicas int, net *faultinject.Network, clk socr
 			Clock:          clk,
 			Seed:           42,
 		},
-		Server:       server.Config{Hedge: server.HedgeConfig{Disabled: true}},
 		NewEvaluator: func(id string) server.Evaluator { return constEval{p: 0.25} },
 		Network:      net,
 	})

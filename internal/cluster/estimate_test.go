@@ -26,7 +26,6 @@ func newEstimatorFleet(t *testing.T, replicas int, net *faultinject.Network, clk
 			Clock:          clk,
 			Seed:           42,
 		},
-		Server:       server.Config{Hedge: server.HedgeConfig{Disabled: true}},
 		NewEvaluator: func(id string) server.Evaluator { return constEval{p: 0.25} },
 		NewEstimator: func(id string) *estimate.Estimator {
 			est, err := estimate.New(estimate.Config{Clock: clk})

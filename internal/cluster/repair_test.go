@@ -67,7 +67,6 @@ func TestReadRepairAfterHeal(t *testing.T) {
 			Clock:          clk,
 			Seed:           42,
 		},
-		Server:       server.Config{Hedge: server.HedgeConfig{Disabled: true}},
 		NewEvaluator: func(id string) server.Evaluator { return switchEval{p: pfail[id], fail: fail} },
 		Network:      net,
 	})

@@ -110,7 +110,6 @@ func TestClusterChaosSoak(t *testing.T) {
 		Server: server.Config{
 			Service:       "app",
 			QueueCapacity: 8,
-			Hedge:         server.HedgeConfig{Disabled: true},
 			Limiter: server.LimiterConfig{
 				Initial:       2,
 				Min:           1,

@@ -164,8 +164,9 @@ func (ca *CompiledAssembly) ParametricFallbacks() map[string]error {
 
 // Inline reports whether service is a root compiled to a closed form, so
 // that one evaluation is a sub-microsecond, allocation-free expression
-// evaluation that does no I/O and cannot block. The serving layer runs
-// such evaluations on the caller's goroutine (server.InlineEvaluator). A
+// evaluation that does no I/O and cannot block. The serving layer
+// evaluates such a request without a deadline watcher, and answers it
+// Stale when it sheds it (server.InlineEvaluator). A
 // root that fell back to the numeric kernel at compile time, a
 // non-root service and an unknown one report false. ctx is unused: the
 // answer is a property of the compiled artifact.

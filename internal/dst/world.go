@@ -160,7 +160,6 @@ func NewWorld(opts Options) (*World, error) {
 		},
 		Server: server.Config{
 			Service: "app",
-			Hedge:   server.HedgeConfig{Disabled: true},
 		},
 		NewEvaluator: func(id string) server.Evaluator {
 			e := &dstEval{resolver: asm}

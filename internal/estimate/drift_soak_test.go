@@ -114,7 +114,7 @@ func TestDriftChaosSoak(t *testing.T) {
 			Clock:          clk,
 			Seed:           3,
 		},
-		Server:       server.Config{Service: "app", Hedge: server.HedgeConfig{Disabled: true}},
+		Server:       server.Config{Service: "app"},
 		NewEvaluator: func(id string) server.Evaluator { return driftEval{p: 1 - math.Exp(-lam0)} },
 		NewEstimator: func(id string) *estimate.Estimator {
 			est, err := estimate.New(estimate.Config{Window: 128, Clock: clk})

@@ -209,14 +209,11 @@ func ServerStats(st server.Stats, draining bool, est *estimate.Estimator) map[st
 		"draining":             draining,
 		"swept_expired":        st.SweptExpired,
 		"canceled_waiting":     st.CanceledWaiting,
-		"hedges_launched":      st.HedgesLaunched,
-		"hedge_wins":           st.HedgeWins,
 		"repaired":             st.Repaired,
 		"limit":                st.Limit,
 		"inflight":             st.Inflight,
 		"queue_depth":          st.QueueDepth,
 		"estimated_latency_us": st.EstimatedLatency.Microseconds(),
-		"hedge_delay_us":       st.HedgeDelay.Microseconds(),
 		"saturation":           st.Saturation.String(),
 	}
 	if est != nil {

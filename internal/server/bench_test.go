@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	gorun "runtime"
 	"testing"
 	"time"
 
@@ -31,18 +32,29 @@ func compileRemote(tb testing.TB) *core.CompiledAssembly {
 }
 
 // opaqueEval hides every optional method of the evaluator it wraps, so
-// the server takes the goroutine path.
+// the server neither skips the deadline watcher for it nor answers its
+// sheds Stale.
 type opaqueEval struct{ ev Evaluator }
 
 func (o opaqueEval) PfailCtx(ctx context.Context, service string, params ...float64) (float64, error) {
 	return o.ev.PfailCtx(ctx, service, params...)
 }
 
-func benchServe(b *testing.B, ev Evaluator, hedge HedgeConfig) {
-	srv := New(ev, Config{Service: "search", Hedge: hedge})
+func benchRequests() []Request {
 	reqs := make([]Request, benchPoints)
 	for i := range reqs {
 		reqs[i] = Request{Params: []float64{1, float64(1024 + 64*i), 1}}
+	}
+	return reqs
+}
+
+// benchServe serves the benchmark's points through ev, each with the
+// given deadline budget (0 for none).
+func benchServe(b *testing.B, ev Evaluator, timeout time.Duration) {
+	srv := New(ev, Config{Service: "search"})
+	reqs := benchRequests()
+	for i := range reqs {
+		reqs[i].Timeout = timeout
 	}
 	ctx := context.Background()
 	for _, r := range reqs { // warm the session pool
@@ -57,21 +69,94 @@ func benchServe(b *testing.B, ev Evaluator, hedge HedgeConfig) {
 	}
 }
 
-// BenchmarkServeInline is one Serve of a closed-form point on the
-// inline path, with the default (hedging-on) configuration: the cost of
-// admission, the limiter slot, the stats and the scope's last-exact
-// record around a ~0.2 us evaluation.
+// BenchmarkServeInline is one Serve of a closed-form point through an
+// evaluator that reports Inline: the cost of admission, the limiter
+// slot, the stats and the scope's last-exact record around a ~0.2 us
+// evaluation.
 func BenchmarkServeInline(b *testing.B) {
-	benchServe(b, compileRemote(b), HedgeConfig{})
+	benchServe(b, compileRemote(b), 0)
 }
 
-// BenchmarkServeGoroutine is the same point through an evaluator that
-// does not opt in: an evaluation goroutine, a results channel and a
-// cancel context per request, plus the hedge timer when hedging is on.
-func BenchmarkServeGoroutine(b *testing.B) {
-	ca := compileRemote(b)
-	b.Run("hedge=on", func(b *testing.B) { benchServe(b, opaqueEval{ca}, HedgeConfig{}) })
-	b.Run("hedge=off", func(b *testing.B) { benchServe(b, opaqueEval{ca}, HedgeConfig{Disabled: true}) })
+// BenchmarkServeOpaque is the same point through an evaluator that does
+// not report Inline. With no deadline it takes the same path as
+// BenchmarkServeInline, on the caller's goroutine under the request's
+// own context, so the two differ only by the wrapper's indirect call.
+func BenchmarkServeOpaque(b *testing.B) {
+	benchServe(b, opaqueEval{compileRemote(b)}, 0)
+}
+
+// BenchmarkServeDeadline serves the same point with a one-second
+// deadline. The inline case still evaluates under the request's own
+// context; the opaque case starts the deadline watcher (a cancel
+// context, a goroutine and a timer) around every evaluation. The gap
+// between the two is what skipping the watcher for an Inline point
+// saves.
+func BenchmarkServeDeadline(b *testing.B) {
+	b.Run("inline", func(b *testing.B) {
+		benchServe(b, compileRemote(b), time.Second)
+	})
+	b.Run("opaque", func(b *testing.B) {
+		benchServe(b, opaqueEval{compileRemote(b)}, time.Second)
+	})
+}
+
+// BenchmarkServeQueued is one Serve that waits for a slot. The window
+// is one slot wide and the benchmark holds that slot when it sends the
+// request, so the request always queues. A helper goroutine frees the
+// slot once it sees the request in the queue, and dispatch grants it to
+// the request. ns/op covers the queue push, the wake-up across
+// goroutines and the evaluation; allocs/op is the waiter and its
+// one-slot channel, which allocates its buffer apart.
+func BenchmarkServeQueued(b *testing.B) {
+	srv := New(compileRemote(b), Config{
+		Service: "search",
+		Limiter: LimiterConfig{Initial: 1, Min: 1, Max: 1},
+	})
+	reqs := benchRequests()
+	ctx := context.Background()
+	for _, r := range reqs {
+		srv.Serve(ctx, r)
+	}
+	held := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range held {
+			for {
+				srv.mu.Lock()
+				if srv.queue.depth > 0 {
+					srv.limiter.release()
+					srv.dispatchLocked()
+					srv.mu.Unlock()
+					break
+				}
+				srv.mu.Unlock()
+				gorun.Gosched()
+			}
+		}
+	}()
+	defer func() {
+		close(held)
+		<-done
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.mu.Lock()
+		ok := srv.limiter.tryAcquire()
+		srv.mu.Unlock()
+		if !ok {
+			b.Fatal("the benchmark could not take the only slot")
+		}
+		held <- struct{}{}
+		if ans := srv.Serve(ctx, reqs[i%benchPoints]); ans.Err != nil {
+			b.Fatal(ans.Err)
+		}
+	}
+	b.StopTimer()
+	if st := srv.Stats(); st.Inflight != 0 || st.QueueDepth != 0 {
+		b.Fatalf("server not quiescent: %+v", st)
+	}
 }
 
 // BenchmarkServeBatch is one ServeBatch through the compiled batch
@@ -120,22 +205,4 @@ func BenchmarkServeShed(b *testing.B) {
 			b.Fatalf("shed answer %+v, want Stale", ans)
 		}
 	}
-}
-
-// BenchmarkLatencyDigest is one observe plus one p95 read on a full
-// 128-sample window: what every completed request and every hedge
-// decision pay.
-func BenchmarkLatencyDigest(b *testing.B) {
-	d := newLatencyDigest(time.Millisecond, 0.2, 0)
-	for i := 0; i < 256; i++ {
-		d.observe(time.Duration(i%97) * time.Microsecond)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink time.Duration
-	for i := 0; i < b.N; i++ {
-		d.observe(time.Duration(i%97) * time.Microsecond)
-		sink += d.p95()
-	}
-	_ = sink
 }

@@ -42,7 +42,7 @@ func waitDraining(t *testing.T, srv *server.Server) {
 // at once and closes admission.
 func TestDrainIdleReturnsImmediately(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
-	srv := server.New(newGateEval(), server.Config{Clock: clk, Hedge: server.HedgeConfig{Disabled: true}})
+	srv := server.New(newGateEval(), server.Config{Clock: clk})
 
 	st, err := srv.Drain(context.Background(), time.Second)
 	if err != nil {
@@ -73,7 +73,6 @@ func TestDrainFinishesInFlightAndQueued(t *testing.T) {
 	eval := newGateEval()
 	srv := server.New(eval, server.Config{
 		Clock:   clk,
-		Hedge:   server.HedgeConfig{Disabled: true},
 		Limiter: server.LimiterConfig{Initial: 1, Min: 1, Max: 1},
 	})
 	ctx := context.Background()
@@ -127,7 +126,7 @@ func TestDrainFinishesInFlightAndQueued(t *testing.T) {
 func TestDrainTimeoutOnFakeClock(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 	eval := newGateEval()
-	srv := server.New(eval, server.Config{Clock: clk, Hedge: server.HedgeConfig{Disabled: true}})
+	srv := server.New(eval, server.Config{Clock: clk})
 	ctx := context.Background()
 
 	done := make(chan socruntime.Answer, 1)
@@ -160,7 +159,7 @@ func TestDrainTimeoutOnFakeClock(t *testing.T) {
 func TestDrainCanceledContext(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 	eval := newGateEval()
-	srv := server.New(eval, server.Config{Clock: clk, Hedge: server.HedgeConfig{Disabled: true}})
+	srv := server.New(eval, server.Config{Clock: clk})
 
 	done := make(chan socruntime.Answer, 1)
 	go func() { done <- srv.Serve(context.Background(), server.Request{}) }()

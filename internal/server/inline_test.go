@@ -56,9 +56,9 @@ func compileLoop(t *testing.T, stateBound int) *core.CompiledAssembly {
 	return ca
 }
 
-// ctxProbe records the context each evaluation received. The inline
-// path hands the evaluator the request's own context; the goroutine
-// path hands it a derived cancelable one. Embedding forwards Inline.
+// ctxProbe records the context each evaluation received: the request's
+// own, or one that a deadline watcher cancels. Embedding forwards
+// Inline.
 type ctxProbe struct {
 	*core.CompiledAssembly
 	got context.Context
@@ -98,6 +98,10 @@ func TestInlineOptInFollowsClosedForm(t *testing.T) {
 		}
 	}
 
+	// Every request evaluates on the caller's goroutine. With no
+	// deadline, both evaluators see the request's own context; with one,
+	// only the evaluator that does not report Inline gets a context that
+	// a deadline watcher cancels.
 	for _, c := range []struct {
 		name   string
 		ca     *core.CompiledAssembly
@@ -108,21 +112,24 @@ func TestInlineOptInFollowsClosedForm(t *testing.T) {
 	} {
 		probe := &ctxProbe{CompiledAssembly: c.ca}
 		srv := New(probe, Config{Service: "loop", Clock: socruntime.NewFakeClock(time.Unix(1000, 0))})
-		ans := srv.Serve(ctx, Request{Params: []float64{64}})
-		checkInvariant(t, ans)
-		if ans.Kind != socruntime.Exact {
-			t.Fatalf("%s: %+v, want Exact", c.name, ans)
-		}
-		if gotInline := probe.got == ctx; gotInline != c.inline {
-			t.Errorf("%s: evaluated inline = %v, want %v", c.name, gotInline, c.inline)
+		for _, timeout := range []time.Duration{0, time.Hour} {
+			ans := srv.Serve(ctx, Request{Params: []float64{64}, Timeout: timeout})
+			checkInvariant(t, ans)
+			if ans.Kind != socruntime.Exact {
+				t.Fatalf("%s, timeout %v: %+v, want Exact", c.name, timeout, ans)
+			}
+			wantOwn := timeout == 0 || c.inline
+			if gotOwn := probe.got == ctx; gotOwn != wantOwn {
+				t.Errorf("%s, timeout %v: evaluated under the request's context = %v, want %v", c.name, timeout, gotOwn, wantOwn)
+			}
 		}
 	}
 }
 
-// TestInlineServeContract: on the inline path every request is still
-// admitted, holds and returns a limiter slot, records its answer and
-// emits exactly one outcome, exact ⇔ nil-error holds, and no hedge is
-// ever armed, however far the clock moves afterwards.
+// TestInlineServeContract: an inline request is still admitted, holds
+// and returns a limiter slot, records its answer and emits exactly one
+// outcome, exact ⇔ nil-error holds, and it is evaluated exactly once,
+// however far the clock moves afterwards.
 func TestInlineServeContract(t *testing.T) {
 	ca := compileLoop(t, 0)
 	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
@@ -163,16 +170,13 @@ func TestInlineServeContract(t *testing.T) {
 		}
 		clock.Advance(time.Millisecond)
 	}
-	clock.Advance(time.Hour) // far past any hedge delay
+	clock.Advance(time.Hour) // far past every request's deadline
 	st := srv.Stats()
-	if st.HedgesLaunched != 0 || st.HedgeWins != 0 {
-		t.Fatalf("inline path hedged: %+v", st)
-	}
 	if st.Offered != n || st.Admitted != n || st.Exact != n-n/5 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Each exact request evaluated once, plus the test's own reference
-	// Pfail call: no duplicate (hedged) evaluation ran.
+	// Pfail call: no duplicate evaluation ran.
 	if pts, want := ca.ParametricStats().ParametricPoints, uint64(2*(n-n/5)); pts != want {
 		t.Fatalf("closed-form points = %d, want %d", pts, want)
 	}
@@ -189,6 +193,19 @@ type clockJump struct {
 func (j clockJump) Inline(ctx context.Context, service string) bool {
 	j.clock.Advance(j.by)
 	return j.CompiledAssembly.Inline(ctx, service)
+}
+
+// clockJumpNotInline is clockJump for an evaluator that reports no
+// request inline.
+type clockJumpNotInline struct {
+	*stubEval
+	clock *socruntime.FakeClock
+	by    time.Duration
+}
+
+func (j clockJumpNotInline) Inline(context.Context, string) bool {
+	j.clock.Advance(j.by)
+	return false
 }
 
 func TestInlinePastDeadlineDegradesCanceled(t *testing.T) {
@@ -210,14 +227,38 @@ func TestInlinePastDeadlineDegradesCanceled(t *testing.T) {
 		if after := ca.ParametricStats().ParametricPoints; after != before {
 			t.Fatalf("an expired request was evaluated (%d points)", after-before)
 		}
-		if st := srv.Stats(); st.Inflight != 0 || outcomes != 1 {
-			t.Fatalf("Inflight = %d, outcomes = %d, want 0 and 1", st.Inflight, outcomes)
+		// Nothing was evaluated, so nothing is published.
+		if st := srv.Stats(); st.Inflight != 0 || outcomes != 0 {
+			t.Fatalf("Inflight = %d, outcomes = %d, want 0 and 0", st.Inflight, outcomes)
+		}
+	})
+	t.Run("not inline", func(t *testing.T) {
+		// An evaluator that does not report Inline gets the same check:
+		// the request is not evaluated and no outcome is published.
+		clock := socruntime.NewFakeClock(time.Unix(1000, 0))
+		var outcomes int
+		eval := constEval(0.5)
+		srv := New(clockJumpNotInline{eval, clock, time.Second}, Config{
+			Service:   "app",
+			Clock:     clock,
+			OnOutcome: func(Outcome) { outcomes++ },
+		})
+		ans := srv.Serve(context.Background(), Request{Params: []float64{64}, Timeout: 100 * time.Millisecond})
+		checkInvariant(t, ans)
+		if ans.Kind != socruntime.Unavailable || !errors.Is(ans.Err, core.ErrCanceled) {
+			t.Fatalf("got %+v, want Unavailable wrapping core.ErrCanceled", ans)
+		}
+		if n := eval.callCount(); n != 0 {
+			t.Fatalf("an expired request was evaluated (%d calls)", n)
+		}
+		if st := srv.Stats(); st.Inflight != 0 || outcomes != 0 {
+			t.Fatalf("Inflight = %d, outcomes = %d, want 0 and 0", st.Inflight, outcomes)
 		}
 	})
 	t.Run("server clock with a record", func(t *testing.T) {
 		// Once the scope has an exact answer, the passed deadline is
-		// answered Stale at the requested point; the Stale evaluation
-		// emits no outcome of its own.
+		// answered Stale at the requested point. Neither the expired
+		// request nor its Stale evaluation emits an outcome.
 		clock := socruntime.NewFakeClock(time.Unix(1000, 0))
 		var outcomes int
 		srv := New(clockJump{ca, clock, time.Second}, Config{
@@ -238,8 +279,9 @@ func TestInlinePastDeadlineDegradesCanceled(t *testing.T) {
 		if ans.Kind != socruntime.Stale || ans.Pfail != want || !ans.AsOf.Equal(seed.AsOf) || !errors.Is(ans.Err, core.ErrCanceled) {
 			t.Fatalf("got %+v, want Stale %v as of %v wrapping core.ErrCanceled", ans, want, seed.AsOf)
 		}
-		if st := srv.Stats(); st.Inflight != 0 || outcomes != 2 {
-			t.Fatalf("Inflight = %d, outcomes = %d, want 0 and 2", st.Inflight, outcomes)
+		// Only the seed was evaluated, so only the seed is published.
+		if st := srv.Stats(); st.Inflight != 0 || outcomes != 1 {
+			t.Fatalf("Inflight = %d, outcomes = %d, want 0 and 1", st.Inflight, outcomes)
 		}
 	})
 	t.Run("context deadline", func(t *testing.T) {
@@ -288,7 +330,7 @@ func TestInlineServeConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	st := srv.Stats()
-	if st.Inflight != 0 || st.QueueDepth != 0 || st.Exact != goroutines*perG || st.HedgesLaunched != 0 {
+	if st.Inflight != 0 || st.QueueDepth != 0 || st.Exact != goroutines*perG {
 		t.Fatalf("stats after the burst: %+v", st)
 	}
 	if n := outcomes.Load(); n != goroutines*perG {

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"runtime"
-	"slices"
 	"time"
 
 	"socrel/internal/core"
@@ -118,74 +117,27 @@ func (l *aimdLimiter) observe(latency time.Duration, err error) {
 	}
 }
 
-// latencyDigest tracks the observed service time two ways: an EWMA used
-// as the admission controller's service-time estimate, and a sliding
-// window of recent samples for the p95 that paces request hedging. The
-// window is kept twice: in arrival order (ring, to know which sample a
-// new one evicts) and ascending (sorted, so the p95 is an index read).
+// latencyDigest is the admission controller's service-time estimate:
+// an EWMA of the latencies of successful evaluations.
 type latencyDigest struct {
 	alpha    float64
 	estimate time.Duration
-	ring     []time.Duration
-	sorted   []time.Duration // the n samples of ring, ascending
-	n, idx   int
 }
 
-func newLatencyDigest(initial time.Duration, alpha float64, window int) *latencyDigest {
+func newLatencyDigest(initial time.Duration, alpha float64) *latencyDigest {
 	if initial <= 0 {
 		initial = time.Millisecond
 	}
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.2
 	}
-	if window <= 0 {
-		window = 128
-	}
-	return &latencyDigest{
-		alpha:    alpha,
-		estimate: initial,
-		ring:     make([]time.Duration, window),
-		sorted:   make([]time.Duration, window),
-	}
+	return &latencyDigest{alpha: alpha, estimate: initial}
 }
 
-// observe folds one successful evaluation's latency into the digest.
-// Keeping the window sorted costs at most two binary searches and one
-// memmove of the samples between the evicted one and the new one.
+// observe folds one successful evaluation's latency into the estimate.
 func (d *latencyDigest) observe(lat time.Duration) {
 	if lat < 0 {
 		lat = 0
 	}
 	d.estimate = time.Duration((1-d.alpha)*float64(d.estimate) + d.alpha*float64(lat))
-	s := d.sorted[:d.n]
-	j, _ := slices.BinarySearch(s, lat) // s[:j] < lat <= s[j:]
-	if d.n < len(d.ring) {
-		// Still filling: shift s[j:] up one.
-		copy(d.sorted[j+1:d.n+1], s[j:])
-		d.sorted[j] = lat
-		d.n++
-	} else {
-		// Full: the evicted sample's slot i closes as lat's opens, so
-		// only the samples between them move, toward i.
-		i, _ := slices.BinarySearch(s, d.ring[d.idx])
-		if j > i {
-			copy(s[i:j-1], s[i+1:j])
-			s[j-1] = lat
-		} else {
-			copy(s[j+1:i+1], s[j:i])
-			s[j] = lat
-		}
-	}
-	d.ring[d.idx] = lat
-	d.idx = (d.idx + 1) % len(d.ring)
-}
-
-// p95 returns the 95th percentile of the recent-latency window, falling
-// back to the EWMA estimate before any sample exists.
-func (d *latencyDigest) p95() time.Duration {
-	if d.n == 0 {
-		return d.estimate
-	}
-	k := (95*d.n+99)/100 - 1 // ceil rank: the sample ≥ 95% of the window
-	return d.sorted[k]
 }

@@ -99,25 +99,17 @@ func TestLimiterDefaults(t *testing.T) {
 	}
 }
 
-func TestLatencyDigestEstimateAndP95(t *testing.T) {
-	d := newLatencyDigest(time.Millisecond, 0.5, 8)
-	if d.p95() != time.Millisecond {
-		t.Fatalf("empty digest p95 should fall back to estimate, got %v", d.p95())
-	}
+func TestLatencyDigestEstimate(t *testing.T) {
+	d := newLatencyDigest(time.Millisecond, 0.5)
 	d.observe(3 * time.Millisecond)
 	if d.estimate != 2*time.Millisecond {
 		t.Fatalf("EWMA after one sample = %v, want 2ms", d.estimate)
 	}
-	// Window of identical samples with one outlier: p95 picks the high tail.
-	for i := 0; i < 7; i++ {
-		d.observe(time.Millisecond)
+	d.observe(-time.Second) // negative clamps to zero
+	if d.estimate != time.Millisecond {
+		t.Fatalf("EWMA after a negative sample = %v, want 1ms", d.estimate)
 	}
-	d.observe(100 * time.Millisecond) // overwrites oldest; window now has the outlier
-	if p := d.p95(); p != 100*time.Millisecond {
-		t.Fatalf("p95 with outlier = %v, want 100ms", p)
-	}
-	d.observe(-time.Second) // negative clamps to zero, must not corrupt the ring
-	if d.estimate < 0 {
-		t.Fatalf("estimate went negative: %v", d.estimate)
+	if d := newLatencyDigest(0, 0); d.estimate != time.Millisecond || d.alpha != 0.2 {
+		t.Fatalf("bad defaults: estimate %v, alpha %v", d.estimate, d.alpha)
 	}
 }

@@ -15,7 +15,6 @@ func TestOnOutcomePublishesEvaluations(t *testing.T) {
 	var events []Outcome
 	srv := New(eval, Config{
 		Service:   "app",
-		Hedge:     HedgeConfig{Disabled: true},
 		Clock:     clock,
 		OnOutcome: func(o Outcome) { events = append(events, o) },
 	})
@@ -47,7 +46,6 @@ func TestOnOutcomeSilentForShedRequests(t *testing.T) {
 	var events []Outcome
 	srv := New(constEval(0.1), Config{
 		Service:   "app",
-		Hedge:     HedgeConfig{Disabled: true},
 		Clock:     clock,
 		OnOutcome: func(o Outcome) { events = append(events, o) },
 	})

@@ -2,7 +2,7 @@
 // concurrency-limited prediction front end that keeps the engine
 // answering when offered load exceeds capacity. It wraps any evaluator
 // (core.CompiledAssembly in production, core.Evaluator for assemblies
-// outside the compiled domain) behind four cooperating mechanisms:
+// outside the compiled domain) behind three cooperating mechanisms:
 //
 //   - a bounded, deadline-aware admission queue (queue.go): requests
 //     whose remaining deadline cannot cover the observed service-time
@@ -13,36 +13,35 @@
 //     window from measured latency, so capacity tracks the hardware and
 //     the workload rather than a static GOMAXPROCS guess;
 //   - priority classes with per-class shedding thresholds: best-effort
-//     traffic is shed first, interactive last;
-//   - request hedging (hedge.go): when the system is unsaturated and a
-//     spare slot exists, a straggling evaluation is raced against a
-//     duplicate on a second pooled session after a p95-based delay, and
-//     the loser is canceled.
+//     traffic is shed first, interactive last.
 //
-// An evaluation runs on a goroutine of its own, under a cancel context
-// that a clock-driven watcher cancels at the deadline, so the hedge and
-// the deadline can act on it. An evaluator implementing InlineEvaluator
-// opts a request out of that machinery: core.CompiledAssembly does for
-// a root compiled to a closed form, whose ~0.2 µs in-process
-// evaluation no hedge can beat and no watcher needs to interrupt. Such
-// a request keeps admission, its limiter slot, the latency feeds and
-// its outcome, but evaluates on the caller's goroutine. Numeric and
-// interpreted evaluators keep the goroutine path.
+// An admitted request evaluates on the caller's goroutine, holding one
+// limiter slot. A request whose deadline passed before its evaluation
+// could start is not evaluated. One with a later deadline evaluates
+// under a context that a watcher on the server's clock cancels at the
+// deadline; that watcher is the only goroutine the server starts. A
+// single point whose evaluator reports Inline (core.CompiledAssembly
+// does for a root compiled to a closed form, whose ~0.2 µs evaluation no
+// watcher needs to interrupt) skips the watcher; a batch never does,
+// since its grid has no size bound. A request with no deadline
+// evaluates under its own context. No request is evaluated twice: every
+// evaluator is an in-process computation, so a duplicate would re-run
+// the same work on the same CPUs.
 //
 // Every request gets a tagged runtime.Answer instead of a silent
 // timeout. The server keeps one record per scope: the time of its last
 // exact answer. When the server itself refuses to evaluate a request
-// (a shed, a drain, an expiry or cancellation while queued, an inline
-// deadline that passed) and the scope has a record and an inline
-// evaluator, the answer is Stale: the scope's closed form evaluated at
-// the requested point, as of the record. Any other failure degrades
-// through runtime.Degrade with no last-good value, so it is Bounded
-// only on a solver residual (the vacuous [0, 1]) and Unavailable
+// (a shed, a drain, an expiry or cancellation while queued, a deadline
+// that passed before evaluation) and the scope has a record and an
+// inline evaluator, the answer is Stale: the scope's closed form
+// evaluated at the requested point, as of the record. Any other failure
+// degrades through runtime.Degrade with no last-good value, so it is
+// Bounded only on a solver residual (the vacuous [0, 1]) and Unavailable
 // otherwise. The exact ⇔ nil-error invariant of the runtime package
 // holds throughout.
 //
 // All time-dependent behavior runs against runtime.Clock, so queue,
-// limiter, and hedging tests are deterministic with a FakeClock and no
+// limiter and deadline tests are deterministic with a FakeClock and no
 // wall-clock sleeps.
 package server
 
@@ -63,17 +62,19 @@ type Evaluator interface {
 	PfailCtx(ctx context.Context, service string, params ...float64) (float64, error)
 }
 
-// InlineEvaluator is the optional inline fast path. An evaluator
+// InlineEvaluator is an optional evaluator method. An evaluator
 // implements it to report, per request, that evaluating service is a
 // sub-microsecond in-memory computation that does no I/O and cannot
 // block: core.CompiledAssembly reports true for a root it compiled to a
-// closed form. Such a request keeps admission, its limiter slot and
-// every stat and outcome, but runs on the caller's goroutine with no
-// evaluation goroutine, cancel context, deadline watcher or hedge. A
-// hedge cannot help it: the duplicate would re-run the same
-// deterministic computation in the same process, and the timer, the
-// goroutine and the channel around it cost more than the evaluation.
-// ctx is the request's context, so a dispatching evaluator can ask the
+// closed form. Every request evaluates on the caller's goroutine with
+// admission, a limiter slot and every stat and outcome; Inline decides
+// only two things. A single point (Serve) it reports evaluates under its
+// own context even with a deadline, with no deadline watcher, because
+// the evaluation ends long before a watcher could act; a batch grid has
+// no such bound and always gets the watcher. And a request the
+// server refuses to evaluate is answered Stale, from that computation
+// at the requested point, once its scope has an exact answer. ctx is
+// the request's context, so a dispatching evaluator can ask the
 // evaluator the request selects.
 type InlineEvaluator interface {
 	Inline(ctx context.Context, service string) bool
@@ -107,8 +108,6 @@ type Config struct {
 	LIFODepth int
 	// Limiter configures the AIMD concurrency limiter.
 	Limiter LimiterConfig
-	// Hedge configures request hedging.
-	Hedge HedgeConfig
 	// Classes overrides per-class shed thresholds, indexed by Priority.
 	Classes [3]ClassConfig
 	// InitialEstimate seeds the service-time estimate before any
@@ -117,7 +116,7 @@ type Config struct {
 	// EstimateDecay is the EWMA factor in (0, 1] for the service-time
 	// estimate (default 0.2).
 	EstimateDecay float64
-	// Clock drives every queue, limiter, and hedging decision (default
+	// Clock drives every queue, limiter and deadline decision (default
 	// the wall clock).
 	Clock socruntime.Clock
 	// OnOutcome, when set, receives one Outcome for every Serve request
@@ -143,16 +142,15 @@ type Outcome struct {
 }
 
 // Saturation summarizes how deep into overload the server is, derived
-// from the queue fill. It is what gates hedging and (through the class
-// thresholds) shedding.
+// from the queue fill, for health checks and stats. Shedding follows
+// the same fill through the class thresholds.
 type Saturation int
 
 // Saturation levels.
 const (
-	// SatNormal: shallow backlog; hedging allowed.
+	// SatNormal: shallow backlog.
 	SatNormal Saturation = iota
-	// SatElevated: backlog building; hedging disabled (a hedge doubles
-	// load exactly when capacity is scarce).
+	// SatElevated: backlog building.
 	SatElevated
 	// SatSevere: best-effort and batch classes shedding.
 	SatSevere
@@ -233,7 +231,9 @@ type Stats struct {
 	// ShedDraining counts requests refused because the server is
 	// draining for shutdown.
 	ShedDraining uint64
-	// Hedging counters.
+	// HedgesLaunched and HedgeWins are always zero; retired. The server
+	// no longer hedges, and the fields stay only for readers that still
+	// name them.
 	HedgesLaunched, HedgeWins uint64
 	// Repaired counts last-exact times adopted via RepairLastExact
 	// (read-repair from a peer's fresher answer).
@@ -244,9 +244,8 @@ type Stats struct {
 	Inflight   int
 	QueueDepth int
 	// EstimatedLatency is the admission controller's service-time
-	// estimate; HedgeDelay is the current p95-based hedge pacing.
+	// estimate.
 	EstimatedLatency time.Duration
-	HedgeDelay       time.Duration
 	// Saturation is the current level.
 	Saturation Saturation
 }
@@ -288,7 +287,6 @@ func New(eval Evaluator, cfg Config) *Server {
 			cfg.Classes[pri].ShedFill = def
 		}
 	}
-	cfg.Hedge = cfg.Hedge.withDefaults()
 	inline, _ := eval.(InlineEvaluator)
 	return &Server{
 		cfg:       cfg,
@@ -297,7 +295,7 @@ func New(eval Evaluator, cfg Config) *Server {
 		inline:    inline,
 		queue:     newAdmissionQueue(cfg.QueueCapacity, cfg.LIFODepth),
 		limiter:   newLimiter(cfg.Limiter),
-		lat:       newLatencyDigest(cfg.InitialEstimate, cfg.EstimateDecay, 0),
+		lat:       newLatencyDigest(cfg.InitialEstimate, cfg.EstimateDecay),
 		lastExact: make(map[string]time.Time),
 	}
 }
@@ -311,7 +309,6 @@ func (s *Server) Stats() Stats {
 	st.Inflight = s.limiter.inflight
 	st.QueueDepth = s.queue.depth
 	st.EstimatedLatency = s.lat.estimate
-	st.HedgeDelay = s.hedgeDelayLocked()
 	st.Saturation = s.saturationLocked()
 	return st
 }
@@ -378,16 +375,16 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 		}
 	}
 
-	// We hold one in-flight slot.
-	inline := s.inline != nil && s.inline.Inline(ctx, service)
-	start := s.clock.Now()
-	var p float64
-	var err error
-	if inline {
-		p, err = s.evalInline(ctx, service, req.Params, deadline, start)
-	} else {
-		p, err = s.evalHedged(ctx, service, req.Params, deadline)
+	// We hold one in-flight slot. A point an Inline evaluator answers
+	// ends long before a watcher could act, so it needs none.
+	inline := !deadline.IsZero() && s.inline != nil && s.inline.Inline(ctx, service)
+	evalCtx, cleanup, start, err := s.evalContext(ctx, deadline, inline)
+	if err != nil {
+		// Nothing was evaluated, so there is no outcome to publish.
+		return s.shed(ctx, service, req.Params, err, start, s.releaseUnevaluated(req.Scope))
 	}
+	p, err := s.eval.PfailCtx(evalCtx, service, req.Params...)
+	cleanup()
 	end := s.clock.Now()
 
 	s.mu.Lock()
@@ -395,23 +392,16 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 	s.limiter.release()
 	s.dispatchLocked()
 	var ans socruntime.Answer
-	var asOf time.Time
-	switch {
-	case err == nil:
+	if err == nil {
 		s.lat.observe(end.Sub(start))
 		s.recordExactLocked(req.Scope, end)
 		s.stats.Exact++
 		ans = socruntime.Answer{Kind: socruntime.Exact, Pfail: p, AsOf: end}
-	case err == errDeadlinePassed:
-		asOf = s.lastExact[req.Scope]
-	default:
+	} else {
 		ans = socruntime.Degrade(err, nil, end)
 		s.countLocked(ans.Kind)
 	}
 	s.mu.Unlock()
-	if err == errDeadlinePassed {
-		ans = s.shed(ctx, service, req.Params, err, end, asOf)
-	}
 
 	if s.cfg.OnOutcome != nil {
 		s.cfg.OnOutcome(Outcome{
@@ -426,8 +416,8 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 }
 
 // ServeBatch answers one batched request: the grid is admitted as a
-// single unit, holds a single concurrency slot (the batch kernel brings
-// its own internal parallelism), and is never hedged. The result always
+// single unit and holds a single concurrency slot (the batch kernel
+// brings its own internal parallelism). The result always
 // has len(ParamSets) entries; points the batch could not evaluate carry
 // degraded tags, the rest are Exact.
 func (s *Server) ServeBatch(ctx context.Context, req BatchRequest) []socruntime.Answer {
@@ -469,8 +459,15 @@ func (s *Server) ServeBatch(ctx context.Context, req BatchRequest) []socruntime.
 		}
 	}
 
-	start := s.clock.Now()
-	ps, err := s.evalBatch(ctx, service, req.ParamSets, deadline)
+	// A grid has no size bound, so a deadline always starts the watcher,
+	// whether or not the evaluator reports Inline for one point.
+	evalCtx, cleanup, start, err := s.evalContext(ctx, deadline, false)
+	if err != nil {
+		s.shedBatch(ctx, out, service, req.ParamSets, err, start, s.releaseUnevaluated(req.Scope))
+		return out
+	}
+	ps, err := s.evalPoints(evalCtx, service, req.ParamSets)
+	cleanup()
 	end := s.clock.Now()
 
 	s.mu.Lock()
@@ -741,7 +738,8 @@ func (s *Server) staleFrom(ctx context.Context, service string, asOf time.Time) 
 
 // shed answers one request the server refused to evaluate: cause is
 // the server's own (an admission shed, a drain, an expiry or
-// cancellation while queued, or an inline deadline that passed) and
+// cancellation while queued, or a deadline that passed before
+// evaluation) and
 // asOf is the scope's last exact time, zero when it has none. Where
 // staleFrom allows, the answer is Stale at the requested point: the
 // evaluation runs outside s.mu, under a context the request's end
@@ -802,32 +800,48 @@ func detached(ctx context.Context) context.Context {
 	return context.WithoutCancel(ctx)
 }
 
-// errDeadlinePassed is an inline evaluation's answer to a deadline that
-// passed before it could start: the ErrCanceled class the goroutine path
-// reports once its deadline watcher has canceled the evaluation.
+// errDeadlinePassed answers a request whose deadline passed before its
+// evaluation could start: the ErrCanceled class that a deadline
+// watcher's cancellation reports.
 var errDeadlinePassed = fmt.Errorf("%w: %w", core.ErrCanceled, context.DeadlineExceeded)
 
-// evalInline evaluates on the caller's goroutine (see InlineEvaluator).
-// The deadline is checked once, before the evaluation: like the
-// goroutine path, which waits for a started evaluation to finish, an
-// evaluation that completes is exact.
-func (s *Server) evalInline(ctx context.Context, service string, params []float64, deadline, now time.Time) (float64, error) {
-	if !deadline.IsZero() && !now.Before(deadline) {
-		return 0, errDeadlinePassed
-	}
-	return s.eval.PfailCtx(ctx, service, params...)
+// releaseUnevaluated returns the slot of a request whose deadline passed
+// before its evaluation could start, and returns its scope's last exact
+// time for the shed answer. The limiter counts it as it counts a
+// deadline that cancels a running evaluation: a capacity signal.
+func (s *Server) releaseUnevaluated(scope string) (asOf time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.limiter.observe(0, errDeadlinePassed)
+	s.limiter.release()
+	s.dispatchLocked()
+	return s.lastExact[scope]
 }
 
-// evalBatch runs the grid under the request's deadline: a clock-driven
-// watcher cancels the evaluation when one is set, and ctx passes
-// straight through when none is.
-func (s *Server) evalBatch(ctx context.Context, service string, sets [][]float64, deadline time.Time) ([]float64, error) {
-	if !deadline.IsZero() {
-		evalCtx, _, cleanup := s.deadlineCtx(ctx, deadline)
-		defer cleanup()
-		ctx = evalCtx
+// noCleanup is evalContext's cleanup when it started no watcher.
+func noCleanup() {}
+
+// evalContext opens an admitted request's evaluation, which runs on the
+// caller's goroutine. It returns the context to evaluate under, the
+// cleanup to call once the evaluation returns, and the time the
+// evaluation starts. A deadline that has already passed fails with
+// errDeadlinePassed, and the caller must not evaluate. With no deadline,
+// or with inline set (one point of an evaluator that reports Inline), the
+// context is ctx itself; otherwise a watcher cancels it at the deadline.
+func (s *Server) evalContext(ctx context.Context, deadline time.Time, inline bool) (context.Context, func(), time.Time, error) {
+	start := s.clock.Now()
+	if deadline.IsZero() {
+		return ctx, noCleanup, start, nil
 	}
-	return s.evalPoints(ctx, service, sets)
+	d := deadline.Sub(start)
+	switch {
+	case d <= 0:
+		return ctx, noCleanup, start, errDeadlinePassed
+	case inline:
+		return ctx, noCleanup, start, nil
+	}
+	evalCtx, cleanup := s.deadlineCtx(ctx, d)
+	return evalCtx, cleanup, start, nil
 }
 
 // evalPoints runs the grid through the backend's batch kernel when it
@@ -861,21 +875,12 @@ func (s *Server) evalPoints(ctx context.Context, service string, sets [][]float6
 	return out, firstErr
 }
 
-// deadlineCtx derives the evaluation context: cancelable, with a
-// clock-driven deadline watcher when a deadline is set (context's own
-// WithDeadline compares against the wall clock, which would not respect
-// a FakeClock). cleanup must be deferred; cancel aborts the evaluation
-// early.
-func (s *Server) deadlineCtx(ctx context.Context, deadline time.Time) (evalCtx context.Context, cancel context.CancelFunc, cleanup func()) {
-	evalCtx, cancel = context.WithCancel(ctx)
-	if deadline.IsZero() {
-		return evalCtx, cancel, cancel
-	}
-	d := deadline.Sub(s.clock.Now())
-	if d <= 0 {
-		cancel()
-		return evalCtx, cancel, cancel
-	}
+// deadlineCtx derives a context that a watcher on the server's clock
+// cancels d from now (context.WithDeadline compares against the wall
+// clock, which a FakeClock does not move). cleanup must be called once
+// the evaluation returns; it stops the watcher.
+func (s *Server) deadlineCtx(ctx context.Context, d time.Duration) (evalCtx context.Context, cleanup func()) {
+	evalCtx, cancel := context.WithCancel(ctx)
 	stop := make(chan struct{})
 	go func() {
 		select {
@@ -884,7 +889,7 @@ func (s *Server) deadlineCtx(ctx context.Context, deadline time.Time) (evalCtx c
 		case <-stop:
 		}
 	}()
-	return evalCtx, cancel, func() {
+	return evalCtx, func() {
 		close(stop)
 		cancel()
 	}

@@ -59,7 +59,6 @@ func TestServeExact(t *testing.T) {
 	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
 	srv := New(constEval(0.125), Config{
 		Service: "app",
-		Hedge:   HedgeConfig{Disabled: true},
 		Clock:   clock,
 	})
 	ans := srv.Serve(context.Background(), Request{})
@@ -83,7 +82,6 @@ func TestShedDeadlineBudget(t *testing.T) {
 	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
 	srv := New(constEval(0.5), Config{
 		Service: "app",
-		Hedge:   HedgeConfig{Disabled: true},
 		Clock:   clock,
 	})
 	// Default service-time estimate is 1ms; half that budget cannot work.
@@ -138,7 +136,6 @@ func TestQueueFullAndClassShedding(t *testing.T) {
 		Service:       "app",
 		QueueCapacity: 4,
 		Limiter:       LimiterConfig{Initial: 1, Min: 1, Max: 1},
-		Hedge:         HedgeConfig{Disabled: true},
 		Clock:         clock,
 	})
 
@@ -203,7 +200,6 @@ func TestExpiredWhileQueued(t *testing.T) {
 	srv := New(eval, Config{
 		Service: "app",
 		Limiter: LimiterConfig{Initial: 1, Min: 1, Max: 1},
-		Hedge:   HedgeConfig{Disabled: true},
 		Clock:   clock,
 	})
 
@@ -246,7 +242,6 @@ func TestSweepExpiredOnDispatch(t *testing.T) {
 	srv := New(eval, Config{
 		Service:         "app",
 		Limiter:         LimiterConfig{Initial: 1, Min: 1, Max: 1},
-		Hedge:           HedgeConfig{Disabled: true},
 		InitialEstimate: 10 * time.Millisecond,
 		Clock:           clock,
 	})
@@ -308,7 +303,6 @@ func TestDegradationLadder(t *testing.T) {
 		var outcomes int
 		srv := New(ca, Config{
 			Service:   "loop",
-			Hedge:     HedgeConfig{Disabled: true},
 			Clock:     clock,
 			OnOutcome: func(Outcome) { outcomes++ },
 		})
@@ -385,7 +379,6 @@ func TestDegradationLadder(t *testing.T) {
 		eval := constEval(0.2)
 		srv := New(eval, Config{
 			Service: "app",
-			Hedge:   HedgeConfig{Disabled: true},
 			Clock:   clock,
 		})
 		ctx := context.Background()
@@ -444,111 +437,6 @@ func TestDegradationLadder(t *testing.T) {
 	})
 }
 
-func TestHedgeWinsAndCancelsLoser(t *testing.T) {
-	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
-	eval := &stubEval{}
-	primaryStarted := make(chan struct{})
-	primaryCanceled := make(chan error, 1)
-	eval.set(func(ctx context.Context, _ string, _ ...float64) (float64, error) {
-		eval.mu.Lock()
-		call := eval.calls
-		eval.mu.Unlock()
-		if call == 1 {
-			// Primary: a straggler that only finishes when canceled.
-			close(primaryStarted)
-			<-ctx.Done()
-			primaryCanceled <- ctx.Err()
-			return 0, fmt.Errorf("%w: %w", core.ErrCanceled, ctx.Err())
-		}
-		return 0.25, nil // hedge wins instantly
-	})
-	srv := New(eval, Config{
-		Service: "app",
-		Limiter: LimiterConfig{Initial: 2, Min: 1, Max: 2},
-		Clock:   clock,
-	})
-
-	done := make(chan socruntime.Answer, 1)
-	go func() { done <- srv.Serve(context.Background(), Request{}) }()
-	// The primary attempt must be in flight before the hedge timer fires,
-	// or the duplicate could reach the stub first and take its role.
-	<-primaryStarted
-	// The only pending timer is the hedge timer (delay = max(p95, 1ms)).
-	clock.WaitForTimers(1)
-	clock.Advance(2 * time.Millisecond)
-
-	ans := <-done
-	checkInvariant(t, ans)
-	if ans.Kind != socruntime.Exact || ans.Pfail != 0.25 {
-		t.Fatalf("got %+v, want the hedge's Exact 0.25", ans)
-	}
-	if err := <-primaryCanceled; err == nil {
-		t.Fatal("losing primary attempt was not canceled")
-	}
-	st := srv.Stats()
-	if st.HedgesLaunched != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats = %+v, want one hedge launched and won", st)
-	}
-	if eval.callCount() != 2 {
-		t.Fatalf("eval calls = %d, want 2 (primary + hedge)", eval.callCount())
-	}
-	if st.Inflight != 0 {
-		t.Fatalf("inflight = %d after hedged request, want 0", st.Inflight)
-	}
-}
-
-func TestNoHedgeAboveNormalSaturation(t *testing.T) {
-	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
-	eval := constEval(0.5)
-	srv := New(eval, Config{
-		Service:       "app",
-		QueueCapacity: 4,
-		Limiter:       LimiterConfig{Initial: 2, Min: 1, Max: 2},
-		Clock:         clock,
-	})
-	// A parked (deadline-less) waiter lifts fill to 0.25 = elevated.
-	// White-box: the waiter is synthetic, so drive evalHedged directly
-	// with a manually acquired slot instead of going through Serve.
-	srv.mu.Lock()
-	srv.queue.push(&waiter{pri: Interactive, enq: clock.Now(), ready: make(chan error, 1)})
-	srv.limiter.tryAcquire()
-	srv.mu.Unlock()
-	if sat := srv.Saturation(); sat != SatElevated {
-		t.Fatalf("saturation = %v, want elevated", sat)
-	}
-
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	eval.set(func(ctx context.Context, _ string, _ ...float64) (float64, error) {
-		close(started)
-		<-gate
-		return 0.5, nil
-	})
-	type result struct {
-		p   float64
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		p, err := srv.evalHedged(context.Background(), "app", nil, time.Time{})
-		done <- result{p, err}
-	}()
-	<-started
-	// No hedge timer may exist: an Advance that would have fired any
-	// hedge delay launches nothing.
-	clock.Advance(time.Hour)
-	close(gate)
-	if r := <-done; r.err != nil || r.p != 0.5 {
-		t.Fatalf("evalHedged = (%v, %v), want (0.5, nil)", r.p, r.err)
-	}
-	if st := srv.Stats(); st.HedgesLaunched != 0 {
-		t.Fatalf("hedges launched at elevated saturation: %+v", st)
-	}
-	if eval.callCount() != 1 {
-		t.Fatalf("eval calls = %d, want 1 (no duplicate)", eval.callCount())
-	}
-}
-
 func TestDeadlineCancelsRunningEvaluation(t *testing.T) {
 	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
 	eval := &stubEval{}
@@ -559,7 +447,6 @@ func TestDeadlineCancelsRunningEvaluation(t *testing.T) {
 	srv := New(eval, Config{
 		Service:         "app",
 		Limiter:         LimiterConfig{Initial: 4, Min: 1, Max: 4},
-		Hedge:           HedgeConfig{Disabled: true},
 		InitialEstimate: 5 * time.Millisecond,
 		Clock:           clock,
 	})
@@ -580,13 +467,79 @@ func TestDeadlineCancelsRunningEvaluation(t *testing.T) {
 	}
 }
 
+// inlineBlockingBatch reports Inline for every point, but its batch
+// kernel runs until its context is canceled (or the test releases it):
+// a grid too large to finish inside its deadline.
+type inlineBlockingBatch struct {
+	*stubEval
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (inlineBlockingBatch) Inline(context.Context, string) bool { return true }
+
+func (b inlineBlockingBatch) PfailBatchCtx(ctx context.Context, _ string, _ [][]float64) ([]float64, error) {
+	close(b.entered)
+	select {
+	case <-ctx.Done():
+		return nil, fmt.Errorf("%w: %w", core.ErrCanceled, ctx.Err())
+	case <-b.release:
+		return nil, errors.New("released by the test: no deadline canceled the batch")
+	}
+}
+
+// TestBatchDeadlineCancelsInlineEvaluator: Inline speaks for one point,
+// not for a grid, so a batch with a deadline runs under the watcher even
+// when the evaluator reports Inline, and the deadline cancels the kernel.
+func TestBatchDeadlineCancelsInlineEvaluator(t *testing.T) {
+	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
+	eval := inlineBlockingBatch{constEval(0.5), make(chan struct{}), make(chan struct{})}
+	t.Cleanup(func() { close(eval.release) })
+	srv := New(eval, Config{
+		Service:         "app",
+		Limiter:         LimiterConfig{Initial: 4, Min: 1, Max: 4},
+		InitialEstimate: time.Millisecond,
+		Clock:           clock,
+	})
+	done := make(chan []socruntime.Answer, 1)
+	go func() {
+		done <- srv.ServeBatch(context.Background(), BatchRequest{
+			ParamSets: [][]float64{{1}, {2}, {3}},
+			Timeout:   10 * time.Millisecond,
+		})
+	}()
+	<-eval.entered
+	// The only timer is the deadline watcher's.
+	armed := make(chan struct{})
+	go func() { clock.WaitForTimers(1); close(armed) }()
+	select {
+	case <-armed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no deadline watcher runs the batch of an Inline evaluator")
+	}
+	clock.Advance(11 * time.Millisecond)
+
+	out := <-done
+	if len(out) != 3 {
+		t.Fatalf("len = %d, want 3", len(out))
+	}
+	for i, ans := range out {
+		checkInvariant(t, ans)
+		if ans.Kind != socruntime.Unavailable || !errors.Is(ans.Err, core.ErrCanceled) {
+			t.Fatalf("point %d: got %+v, want Unavailable wrapping core.ErrCanceled", i, ans)
+		}
+	}
+	if st := srv.Stats(); st.Inflight != 0 || st.Exact != 0 || st.Unavailable != 3 {
+		t.Fatalf("stats = %+v, want no slot held and 3 Unavailable", st)
+	}
+}
+
 func TestContextCancelWhileQueued(t *testing.T) {
 	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
 	eval := constEval(0.5)
 	srv := New(eval, Config{
 		Service: "app",
 		Limiter: LimiterConfig{Initial: 1, Min: 1, Max: 1},
-		Hedge:   HedgeConfig{Disabled: true},
 		Clock:   clock,
 	})
 	gate := make(chan struct{})
@@ -632,7 +585,6 @@ func TestServeBatchFallbackLoop(t *testing.T) {
 	})
 	srv := New(eval, Config{
 		Service: "app",
-		Hedge:   HedgeConfig{Disabled: true},
 		Clock:   clock,
 	})
 	out := srv.ServeBatch(context.Background(), BatchRequest{
@@ -686,7 +638,6 @@ func TestServeBatchKernelNaNContract(t *testing.T) {
 	eval.set(func(context.Context, string, ...float64) (float64, error) { return 0, nil })
 	srv := New(eval, Config{
 		Service: "app",
-		Hedge:   HedgeConfig{Disabled: true},
 		Clock:   clock,
 	})
 	out := srv.ServeBatch(context.Background(), BatchRequest{ParamSets: [][]float64{{1}, {2}, {3}}})
@@ -705,7 +656,6 @@ func TestServeBatchShedDegradesEveryPoint(t *testing.T) {
 	clock := socruntime.NewFakeClock(time.Unix(1000, 0))
 	srv := New(constEval(0.5), Config{
 		Service: "app",
-		Hedge:   HedgeConfig{Disabled: true},
 		Clock:   clock,
 	})
 	out := srv.ServeBatch(context.Background(), BatchRequest{

@@ -45,14 +45,25 @@ func buildSoakAssembly(t *testing.T) *assembly.Assembly {
 // instance would neither tolerate the server's concurrency nor let the
 // fault injector fire past the first call. A fresh instance per request
 // is also the worst case the admission controller is supposed to
-// survive: every evaluation pays full resolution cost.
+// survive: every evaluation pays full resolution cost. Each evaluation
+// then holds its slot for hold (less if its context ends first), so the
+// server's capacity is set by hold and not by how fast the host runs.
 type freshEval struct {
 	resolver model.Resolver
 	opts     core.Options
+	hold     time.Duration
 }
 
 func (f freshEval) PfailCtx(ctx context.Context, service string, params ...float64) (float64, error) {
-	return core.New(f.resolver, f.opts).PfailCtx(ctx, service, params...)
+	p, err := core.New(f.resolver, f.opts).PfailCtx(ctx, service, params...)
+	t := time.NewTimer(f.hold)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return p, err
+	case <-ctx.Done():
+		return 0, fmt.Errorf("%w: %w", core.ErrCanceled, ctx.Err())
+	}
 }
 
 // TestChaosSoakOverloadLadder floods an admission-controlled server with
@@ -65,6 +76,15 @@ func (f freshEval) PfailCtx(ctx context.Context, service string, params ...float
 //     degraded (shed or failed), and shedding actually fired;
 //   - the server quiesces (no in-flight slots, empty queue) and no
 //     goroutines leak.
+//
+// The overload holds by construction. Each evaluation holds its slot
+// for 1ms, and the limiter allows at most Max = 4 slots, so the server
+// completes at most 4 requests per ms. The burst offers one request per
+// 20µs (50 per ms, 12.5 times that capacity) over a window of
+// n×20µs + 100µs of jitter: 6.1ms for n = 300, 1.3ms for n = 60. At
+// most Max + QueueCapacity + Max×⌈window/hold⌉ requests can find room:
+// 4 + 8 + 4×7 = 40 of 300, or 4 + 8 + 4×2 = 20 of 60. The rest are shed,
+// however little the serving path itself costs.
 func TestChaosSoakOverloadLadder(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -79,7 +99,7 @@ func TestChaosSoakOverloadLadder(t *testing.T) {
 		BindFailureRate:   0.15,
 		ExemptServices:    []string{"app"},
 	})
-	srv := server.New(freshEval{resolver: inj}, server.Config{
+	srv := server.New(freshEval{resolver: inj, hold: time.Millisecond}, server.Config{
 		Service:       "app",
 		QueueCapacity: 8,
 		Limiter: server.LimiterConfig{
@@ -170,7 +190,7 @@ func TestChaosSoakOverloadLadder(t *testing.T) {
 	t.Logf("soak: %d exact, %d degraded (%d sheds) over %d requests; %d injected faults; stats %+v",
 		exact, degraded, sheds, n, inj.Injected(), st)
 
-	// Zero goroutine leaks: hedges, deadline watchers, and waiters must
+	// Zero goroutine leaks: deadline watchers and waiters must
 	// all unwind once the burst drains.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
