@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,12 +27,19 @@ func newTestFleet(t *testing.T, replicas int) (*cluster.Fleet, *socruntime.FakeC
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := httpapi.NewEngine(asm, core.Options{}, "search")
+	return newEngineFleet(t, replicas, asm, core.Options{}, "parametric")
+}
+
+// newEngineFleet is newTestFleet over asm served with opts, whose engine
+// must take the evaluation path named wantMode.
+func newEngineFleet(t *testing.T, replicas int, asm *assembly.Assembly, opts core.Options, wantMode string) (*cluster.Fleet, *socruntime.FakeClock) {
+	t.Helper()
+	eng, err := httpapi.NewEngine(asm, opts, "search")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Mode != "parametric" {
-		t.Fatalf("paper assembly should compile parametrically, got %q", eng.Mode)
+	if eng.Mode != wantMode {
+		t.Fatalf("engine mode = %q, want %q", eng.Mode, wantMode)
 	}
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 	f, err := cluster.NewFleet(cluster.FleetConfig{
@@ -102,6 +111,55 @@ func TestFleetPredictExact(t *testing.T) {
 			t.Fatalf("kind = %v, want exact (body %v)", m["kind"], m)
 		}
 	}
+}
+
+// TestFleetPredictInterpreted: a fleet serving a model the compiled engine
+// refuses (-fixedpoint) answers concurrent requests across its replicas
+// exactly, each bit for bit what a one-shot interpreter returns.
+func TestFleetPredictInterpreted(t *testing.T) {
+	asm, err := assembly.LocalAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Cycles: core.CycleFixedPoint}
+	f, _ := newEngineFleet(t, 3, asm, opts, "interpreted")
+	ts := httptest.NewServer(newFleetMux(f, nil))
+	defer ts.Close()
+
+	lists := []float64{16, 4096, 65536, 1 << 20}
+	want := make([]float64, len(lists))
+	for i, list := range lists {
+		if want[i], err = core.New(asm, opts).Pfail("search", 1, list, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				k := (g + i) % len(lists)
+				body := fmt.Sprintf(`{"params":[1,%g,1]}`, lists[k])
+				resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var m map[string]any
+				err = json.NewDecoder(resp.Body).Decode(&m)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if m["kind"] != "exact" || m["pfail"] != want[k] {
+					t.Errorf("list=%g: body %v, want exact %.17g", lists[k], m, want[k])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestFleetSurvivesKill: killing a replica mid-serve leaves the fleet

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"socrel/internal/assembly"
+	"socrel/internal/core"
 	"socrel/internal/estimate"
 	"socrel/internal/httpapi"
 	"socrel/internal/server"
@@ -84,5 +86,55 @@ func TestEstimatesEndpoint(t *testing.T) {
 	}
 	if eb["observed"].(float64) != 20 || eb["keys"].(float64) != 1 {
 		t.Fatalf("estimator stats: %v", eb)
+	}
+}
+
+// TestEstimatesIgnoreRequestFaults: /predict calls with the wrong number
+// of parameters are the client's fault, so they record no failures
+// against search in /estimates; a well-formed call still records its
+// success.
+func TestEstimatesIgnoreRequestFaults(t *testing.T) {
+	asm, err := assembly.RemoteAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := httpapi.NewEngine(asm, core.Options{}, "search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := newEstimateServer(t, eng.Evaluator())
+	predict := func(body string) int {
+		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < 20; i++ {
+		if code := predict(`{"params":[1,4096]}`); code == http.StatusOK {
+			t.Fatalf("wrong-arity predict answered 200")
+		}
+	}
+	if code := predict(`{"params":[1,4096,1]}`); code != http.StatusOK {
+		t.Fatalf("predict status %d, want 200", code)
+	}
+
+	resp, err := http.Get(ts.URL + "/estimates")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Estimates []httpapi.EstimateMeta `json:"estimates"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Estimates) != 1 {
+		t.Fatalf("got %d buckets, want 1: %+v", len(body.Estimates), body.Estimates)
+	}
+	if b := body.Estimates[0]; b.Provider != "search" || b.Observations != 1 || b.Failures != 0 {
+		t.Fatalf("bucket %+v, want search with 1 observation and 0 failures", b)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"socrel/internal/assembly"
 	"socrel/internal/core"
+	"socrel/internal/httpapi"
 	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
 )
@@ -81,6 +82,62 @@ func TestPredictExact(t *testing.T) {
 	if _, present := m["error"]; present {
 		t.Fatalf("exact answer must not carry an error field: %v", m)
 	}
+}
+
+// TestPredictInterpreted: a model the compiled engine refuses
+// (-fixedpoint) is served by the interpreter; concurrent requests share no
+// evaluator state, and each answer is exact and bit for bit what a
+// one-shot interpreter returns.
+func TestPredictInterpreted(t *testing.T) {
+	asm, err := assembly.RemoteAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Cycles: core.CycleFixedPoint}
+	eng, err := httpapi.NewEngine(asm, opts, "search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Mode != "interpreted" {
+		t.Fatalf("engine mode = %q, want interpreted", eng.Mode)
+	}
+	ts := newTestServer(eng.Evaluator(), server.Config{})
+	defer ts.Close()
+
+	lists := []float64{16, 4096, 65536, 1 << 20}
+	want := make([]float64, len(lists))
+	for i, list := range lists {
+		if want[i], err = core.New(asm, opts).Pfail("search", 1, list, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				k := (g + i) % len(lists)
+				body := fmt.Sprintf(`{"params":[1,%g,1]}`, lists[k])
+				resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var m map[string]any
+				err = json.NewDecoder(resp.Body).Decode(&m)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if m["kind"] != "exact" || m["pfail"] != want[k] {
+					t.Errorf("list=%g: body %v, want exact %.17g", lists[k], m, want[k])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestPredictDegradesToStale: on a closed-form model, a request the

@@ -112,9 +112,9 @@ func TestCompiledBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestEvaluatorSweepStaysDeterministic pins the seed-compat contract: an
-// Evaluator that has switched to its compiled artifact keeps producing
-// the same sweep values as a purely interpreted evaluation.
+// TestEvaluatorSweepStaysDeterministic pins the seed-compat contract: one
+// Evaluator reused across a sweep is the interpreter at every point, so
+// each value is bit for bit what a one-shot evaluator returns.
 func TestEvaluatorSweepStaysDeterministic(t *testing.T) {
 	asm := paperAssemblies(t, 5e-6, 2.5e-2)["local"]
 	ev := New(asm, Options{})
@@ -127,8 +127,8 @@ func TestEvaluatorSweepStaysDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("list=%g: evaluator %.17g vs interpreted %.17g", list, got, want)
+		if got != want {
+			t.Errorf("list=%g: reused evaluator %.17g vs one-shot %.17g (want bitwise equality)", list, got, want)
 		}
 	}
 }

@@ -55,8 +55,7 @@ func TestCompiledMatchesInterpretedPaperGrid(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s list=%g: %v", name, list, err)
 					}
-					// Fresh interpreted evaluator: a single call never
-					// delegates to the compiled engine.
+					// The interpreted oracle: Pfail_Alg evaluated afresh.
 					want, err := New(asm, Options{}).Pfail("search", 1, list, 1)
 					if err != nil {
 						t.Fatalf("%s list=%g interpreted: %v", name, list, err)
@@ -264,40 +263,5 @@ func TestCompiledErrors(t *testing.T) {
 	}
 	if _, err := ca.PfailBatch("nope", [][]float64{{1}}); !errors.Is(err, model.ErrUnknownService) {
 		t.Errorf("batch unknown service: error = %v, want ErrUnknownService", err)
-	}
-}
-
-// TestEvaluatorDelegation: the interpreted Evaluator transparently
-// compiles a root after its first call and keeps returning values that
-// match the interpreted path.
-func TestEvaluatorDelegation(t *testing.T) {
-	asm := paperAssemblies(t, 1e-6, 2.5e-2)["remote"]
-	ev := New(asm, Options{})
-	v1, err := ev.Pfail("search", 1, 4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same parameters again: served from the interpreted memo, exactly.
-	v2, err := ev.Pfail("search", 1, 4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 != v2 {
-		t.Errorf("memoized repeat = %.17g, want exactly %.17g", v2, v1)
-	}
-	// New parameters: served by the compiled engine.
-	v3, err := ev.Pfail("search", 1, 8192, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.compiled["search"] == nil {
-		t.Fatal("evaluator did not compile the root after repeated calls")
-	}
-	want, err := New(asm, Options{}).Pfail("search", 1, 8192, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v3-want) > 1e-12 {
-		t.Errorf("delegated = %.17g, interpreted = %.17g", v3, want)
 	}
 }

@@ -83,12 +83,6 @@ type Options struct {
 	// the linalg default (100000). Exhausting the budget surfaces
 	// ErrNoConvergence carrying the sweep count and final residual.
 	IterMaxIter int
-	// OnFallback, when set, is called the first time each root service
-	// degrades from the compiled to the interpreted path (the assembly
-	// failed to compile, or the resolver stopped mapping the root's name
-	// to the compiled service value) with the reason. Use Fallbacks for
-	// the running count of interpreted evaluations served since.
-	OnFallback func(service string, reason error)
 }
 
 func (o Options) withDefaults() Options {
@@ -105,9 +99,11 @@ func (o Options) withDefaults() Options {
 }
 
 // Evaluator computes service failure probabilities against a resolver
-// (typically an assembly). It memoizes (service, parameters) invocations,
-// so a single Evaluator assumes its resolver and service definitions do not
-// change; create a new Evaluator after modifying an assembly.
+// (typically an assembly) by interpreting Pfail_Alg on every call; it never
+// compiles, so it is the reference the compiled engines are checked
+// against. It memoizes (service, parameters) invocations, so a single
+// Evaluator assumes its resolver and service definitions do not change;
+// create a new Evaluator after modifying an assembly.
 type Evaluator struct {
 	resolver model.Resolver
 	opts     Options
@@ -120,20 +116,6 @@ type Evaluator struct {
 	memo       map[string]float64
 	inProgress map[string]bool
 
-	// Compile/execute delegation: after a root service has been evaluated
-	// once through the interpreted path, the evaluator compiles it and
-	// routes further calls through the CompiledAssembly. Assemblies that
-	// do not compile (recursion, dynamic resolvers, ...) are remembered
-	// and stay on the interpreted path.
-	rootCalls    map[string]int
-	compiled     map[string]*CompiledAssembly
-	uncompilable map[string]bool
-
-	// Fallback telemetry: one record per root served interpreted after the
-	// compiled path was attempted (or would have been viable).
-	fallbacks     map[string]*FallbackRecord
-	fallbackOrder []string
-
 	// Fixed-point state.
 	estimates   map[string]float64
 	usedEst     bool
@@ -141,32 +123,15 @@ type Evaluator struct {
 	inFixedLoop bool
 }
 
-// FallbackRecord describes one root service that degraded from the
-// compiled to the interpreted path.
-type FallbackRecord struct {
-	// Service is the root service name.
-	Service string
-	// Reason is the error that forced the fallback (an ErrNotCompilable
-	// chain for compilation failures).
-	Reason error
-	// Count is the number of interpreted evaluations served for this root
-	// since the fallback was recorded.
-	Count int
-}
-
 // New returns an Evaluator over the given resolver.
 func New(resolver model.Resolver, opts Options) *Evaluator {
 	return &Evaluator{
-		resolver:     resolver,
-		opts:         opts.withDefaults(),
-		ctx:          context.Background(),
-		memo:         make(map[string]float64),
-		inProgress:   make(map[string]bool),
-		rootCalls:    make(map[string]int),
-		compiled:     make(map[string]*CompiledAssembly),
-		uncompilable: make(map[string]bool),
-		fallbacks:    make(map[string]*FallbackRecord),
-		estimates:    make(map[string]float64),
+		resolver:   resolver,
+		opts:       opts.withDefaults(),
+		ctx:        context.Background(),
+		memo:       make(map[string]float64),
+		inProgress: make(map[string]bool),
+		estimates:  make(map[string]float64),
 	}
 }
 
@@ -231,19 +196,15 @@ func (ev *Evaluator) PfailServiceCtx(ctx context.Context, svc model.Service, par
 
 func (ev *Evaluator) pfailService(svc model.Service, params []float64) (float64, error) {
 	if ev.opts.Cycles != CycleFixedPoint {
-		if ca := ev.compiledFor(svc); ca != nil {
-			if p, hit := ev.memo[invocationKey(svc.Name(), params)]; hit {
-				return p, nil
-			}
-			return ca.PfailCtx(ev.ctx, svc.Name(), params...)
-		}
 		p, _, err := ev.eval(svc, params, false)
 		return p, err
 	}
 	// Fixed-point outer loop: repeat full evaluations, updating the
 	// estimate of every completed invocation, until a sweep changes no
-	// estimate by more than the tolerance. Estimates start at zero, so the
-	// iteration ascends to the least fixed point.
+	// estimate by more than the tolerance. Estimates start at zero on
+	// every call, so the iteration ascends to the least fixed point and
+	// the answer does not depend on earlier calls.
+	clear(ev.estimates)
 	ev.inFixedLoop = true
 	defer func() { ev.inFixedLoop = false }()
 	var p float64
@@ -268,75 +229,6 @@ func (ev *Evaluator) pfailService(svc model.Service, params []float64) (float64,
 		}
 	}
 	return 0, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, ev.opts.FixedPointMaxIter, ev.sweepDelta)
-}
-
-// compiledFor returns a CompiledAssembly to delegate an invocation of svc
-// to, or nil to stay on the interpreted path. The first call for a root
-// stays interpreted (one-shot queries never pay compilation); from the
-// second call on, the root is compiled once and served from the immutable
-// artifact. Delegation requires that the resolver still maps the root's
-// name to this exact service value, so resolvers with dynamic state keep
-// their interpreted per-call semantics.
-func (ev *Evaluator) compiledFor(svc model.Service) *CompiledAssembly {
-	if ev.opts.Cycles != CycleError || ev.opts.Method == markov.MethodIterative {
-		// Explicit configuration outside the compiled engine's domain, not
-		// degradation: no fallback record.
-		return nil
-	}
-	name := svc.Name()
-	if ev.uncompilable[name] {
-		ev.noteFallback(name, ErrNotCompilable)
-		return nil
-	}
-	if reg, err := ev.resolver.ServiceByName(name); err != nil || reg != svc {
-		ev.noteFallback(name, fmt.Errorf("core: resolver no longer maps %q to the evaluated service value", name))
-		return nil
-	}
-	ca, ok := ev.compiled[name]
-	if !ok {
-		ev.rootCalls[name]++
-		if ev.rootCalls[name] < 2 {
-			// Warm-up call: one-shot queries never pay compilation. Not a
-			// fallback.
-			return nil
-		}
-		var err error
-		ca, err = Compile(ev.resolver, ev.opts, name)
-		if err != nil {
-			ev.uncompilable[name] = true
-			ev.noteFallback(name, err)
-			return nil
-		}
-		ev.compiled[name] = ca
-	}
-	return ca
-}
-
-// noteFallback records — once per root, firing the OnFallback hook — that
-// the named root is served by the interpreted path, and counts this
-// serving.
-func (ev *Evaluator) noteFallback(name string, reason error) {
-	rec, ok := ev.fallbacks[name]
-	if !ok {
-		rec = &FallbackRecord{Service: name, Reason: reason}
-		ev.fallbacks[name] = rec
-		ev.fallbackOrder = append(ev.fallbackOrder, name)
-		if ev.opts.OnFallback != nil {
-			ev.opts.OnFallback(name, reason)
-		}
-	}
-	rec.Count++
-}
-
-// Fallbacks returns one record per root service that degraded from the
-// compiled to the interpreted path, in first-fallback order. An empty
-// result means every evaluation ran where the configuration intended.
-func (ev *Evaluator) Fallbacks() []FallbackRecord {
-	out := make([]FallbackRecord, 0, len(ev.fallbackOrder))
-	for _, name := range ev.fallbackOrder {
-		out = append(out, *ev.fallbacks[name])
-	}
-	return out
 }
 
 // invocationKey identifies a memoized (service, parameters) invocation.

@@ -342,12 +342,13 @@ func TestRecursiveAssemblyRejected(t *testing.T) {
 	}
 }
 
-func TestFixedPointRecursiveAssembly(t *testing.T) {
-	// Service "a" retries through itself: Start -> s -> End where s calls
-	// leaf (fail pf) and, with probability r, state s2 re-invokes a.
-	// Unreliability x satisfies:
-	//   x = pf + (1-pf) * r * x   =>   x = pf / (1 - r(1-pf)).
-	pf, r := 0.1, 0.4
+// retryAssembly builds service "a" that retries through itself: Start ->
+// s -> End where s calls leaf (fail pf) and, with probability r, state
+// retry re-invokes a. Unreliability x satisfies:
+//
+//	x = pf + (1-pf) * r * x   =>   x = pf / (1 - r(1-pf)).
+func retryAssembly(t *testing.T, pf, r float64) *assembly.Assembly {
+	t.Helper()
 	leaf := model.NewConstant("leaf", pf)
 	c := model.NewComposite("a", nil, nil)
 	st, err := c.Flow().AddState("s", model.AND, model.NoSharing)
@@ -373,7 +374,12 @@ func TestFixedPointRecursiveAssembly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a := newAssembly(t, leaf, c)
+	return newAssembly(t, leaf, c)
+}
+
+func TestFixedPointRecursiveAssembly(t *testing.T) {
+	pf, r := 0.1, 0.4
+	a := retryAssembly(t, pf, r)
 
 	// Default policy rejects.
 	if _, err := New(a, Options{}).Pfail("a"); !errors.Is(err, ErrRecursiveAssembly) {
@@ -390,6 +396,24 @@ func TestFixedPointRecursiveAssembly(t *testing.T) {
 	want := pf / (1 - r*(1-pf))
 	if !approxEq(got, want, 1e-9) {
 		t.Errorf("fixed point Pfail = %g, want %g", got, want)
+	}
+}
+
+// TestFixedPointIgnoresCallHistory: every top-level fixed-point call starts
+// its estimates at zero, so a reused evaluator repeats its first answer bit
+// for bit instead of warm-starting from the previous call's estimates.
+func TestFixedPointIgnoresCallHistory(t *testing.T) {
+	ev := New(retryAssembly(t, 0.1, 0.9), Options{Cycles: CycleFixedPoint})
+	first, err := ev.Pfail("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ev.Pfail("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Errorf("second call = %.17g, first = %.17g (want bitwise equality)", second, first)
 	}
 }
 

@@ -183,7 +183,8 @@ func randomFlowAssembly(rng *rand.Rand) (*assembly.Assembly, error) {
 
 // TestRandomFlowParity is the cross-engine property test: on 60 random
 // assemblies and a non-uniform batch grid, compiled Pfail must match the
-// interpreted engine within 1e-12 at every point, and PfailBatch (on a
+// interpreted engine within 1e-12 at every point, the reused interpreted
+// oracle must match a one-shot interpreter bitwise, and PfailBatch (on a
 // non-uniform and a uniform grid) must match single-point Pfail bitwise.
 func TestRandomFlowParity(t *testing.T) {
 	const tol = 1e-12
@@ -243,6 +244,16 @@ func TestRandomFlowParity(t *testing.T) {
 			iv, err := interp.Pfail("root", x)
 			if err != nil {
 				t.Fatalf("seed %d: interpreted x=%g: %v", seed, x, err)
+			}
+			// The oracle must be the interpreter at every point: a reused
+			// evaluator answers bit for bit what a one-shot one does, so
+			// no call history can swap in another engine.
+			fresh, err := New(asm, Options{}).Pfail("root", x)
+			if err != nil {
+				t.Fatalf("seed %d: one-shot interpreted x=%g: %v", seed, x, err)
+			}
+			if iv != fresh {
+				t.Errorf("seed %d x=%g: reused oracle %v != one-shot interpreter %v (want bitwise equality)", seed, x, iv, fresh)
 			}
 			if math.Abs(single[j]-iv) > tol {
 				t.Errorf("seed %d x=%g: compiled %v vs interpreted %v, |diff| = %g", seed, x, single[j], iv, math.Abs(single[j]-iv))

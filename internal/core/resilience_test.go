@@ -164,75 +164,6 @@ func TestBatchPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestFallbackObservability pins the compiled->interpreted degradation
-// telemetry: a root too large for the compiled MethodAuto solver fires the
-// OnFallback hook exactly once and counts every interpreted serving.
-func TestFallbackObservability(t *testing.T) {
-	asm := chainAssembly(t, "Big", 300) // above the compiled dense-auto threshold (256)
-	var hookCalls int
-	var hookReason error
-	ev := core.New(asm, core.Options{OnFallback: func(service string, reason error) {
-		hookCalls++
-		if service != "Big" {
-			t.Errorf("hook fired for %q, want Big", service)
-		}
-		hookReason = reason
-	}})
-	for i := 0; i < 3; i++ {
-		if _, err := ev.Pfail("Big"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Call 1 is the warm-up (one-shot queries never pay compilation); call
-	// 2 attempts compilation, fails, and records the fallback; call 3 is
-	// served interpreted and counted on the same record.
-	if hookCalls != 1 {
-		t.Errorf("OnFallback fired %d times, want once", hookCalls)
-	}
-	if !errors.Is(hookReason, core.ErrNotCompilable) {
-		t.Errorf("hook reason = %v, want core.ErrNotCompilable", hookReason)
-	}
-	recs := ev.Fallbacks()
-	if len(recs) != 1 || recs[0].Service != "Big" || recs[0].Count != 2 {
-		t.Fatalf("Fallbacks() = %+v, want one record for Big with Count 2", recs)
-	}
-	if !errors.Is(recs[0].Reason, core.ErrNotCompilable) {
-		t.Errorf("record reason = %v, want core.ErrNotCompilable", recs[0].Reason)
-	}
-
-	// A compilable root never records a fallback.
-	small := chainAssembly(t, "Small", 3)
-	ev2 := core.New(small, core.Options{})
-	for i := 0; i < 3; i++ {
-		if _, err := ev2.Pfail("Small"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if recs := ev2.Fallbacks(); len(recs) != 0 {
-		t.Errorf("compilable root recorded fallbacks: %+v", recs)
-	}
-}
-
-// TestFallbackResolverMismatch: evaluating a service value the resolver
-// does not map keeps per-call semantics and records why.
-func TestFallbackResolverMismatch(t *testing.T) {
-	asm := chainAssembly(t, "Root", 3)
-	ev := core.New(asm, core.Options{})
-	loose := model.NewConstant("Loose", 0.2)
-	for i := 0; i < 2; i++ {
-		if _, err := ev.PfailService(loose); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs := ev.Fallbacks()
-	if len(recs) != 1 || recs[0].Service != "Loose" || recs[0].Count != 2 {
-		t.Fatalf("Fallbacks() = %+v, want one record for Loose with Count 2", recs)
-	}
-	if !strings.Contains(recs[0].Reason.Error(), "resolver") {
-		t.Errorf("record reason = %v, want it to name the resolver mismatch", recs[0].Reason)
-	}
-}
-
 // TestIterativeBudgetExhausted (satellite S1): a starved iteration budget
 // surfaces ErrNoConvergence carrying the sweep count and residual.
 func TestIterativeBudgetExhausted(t *testing.T) {

@@ -224,8 +224,7 @@ func TestChaosRandomized(t *testing.T) {
 				continue
 			}
 		}
-		// Interpreted engine (with compiled delegation kicking in after the
-		// first call when the assembly allows it).
+		// Interpreted engine.
 		ev := core.New(res, opts)
 		for pt := 0; pt < points; pt++ {
 			p, err := ev.PfailCtx(ctx, root, 0.5+rng.Float64()*99)

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -332,25 +331,22 @@ func NewEngine(asm *assembly.Assembly, opts core.Options, service string) (*Engi
 }
 
 // Evaluator returns an evaluator for one serving tier: the shared
-// compiled artifact, or a fresh interpreter of its own behind a mutex.
+// compiled artifact, or the interpreter.
 func (e *Engine) Evaluator() server.Evaluator {
 	if e.Compiled != nil {
 		return e.Compiled
 	}
-	return &serializedEval{ev: core.New(e.asm, e.opts)}
+	return interpretedEval{asm: e.asm, opts: e.opts}
 }
 
-// serializedEval guards the single-goroutine interpreted evaluator with
-// a mutex: correctness over parallelism on the fallback path. The
-// admission controller sees the serialization as latency and sizes the
-// window down accordingly.
-type serializedEval struct {
-	mu sync.Mutex
-	ev *core.Evaluator
+// interpretedEval runs every request on a fresh interpreted evaluator, so
+// no memo outlives its request and concurrent requests share only the
+// read-only assembly.
+type interpretedEval struct {
+	asm  *assembly.Assembly
+	opts core.Options
 }
 
-func (s *serializedEval) PfailCtx(ctx context.Context, service string, params ...float64) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ev.PfailCtx(ctx, service, params...)
+func (e interpretedEval) PfailCtx(ctx context.Context, service string, params ...float64) (float64, error) {
+	return core.New(e.asm, e.opts).PfailCtx(ctx, service, params...)
 }

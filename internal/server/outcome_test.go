@@ -3,9 +3,12 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"socrel/internal/core"
+	"socrel/internal/model"
 	socruntime "socrel/internal/runtime"
 )
 
@@ -38,6 +41,37 @@ func TestOnOutcomePublishesEvaluations(t *testing.T) {
 	}
 	if o := events[1]; o.Success || o.Service != "other" {
 		t.Fatalf("bad failure outcome: %+v", o)
+	}
+}
+
+// TestOnOutcomeSilentForRequestFaults: a request the evaluator rejects
+// for its own shape (wrong arity, unknown service) is no evidence about
+// the provider, so it publishes nothing; other failures still publish.
+func TestOnOutcomeSilentForRequestFaults(t *testing.T) {
+	eval := constEval(0.125)
+	var events []Outcome
+	srv := New(eval, Config{
+		Service:   "app",
+		Clock:     socruntime.NewFakeClock(time.Unix(1000, 0)),
+		OnOutcome: func(o Outcome) { events = append(events, o) },
+	})
+	for _, fault := range []error{model.ErrArity, model.ErrUnknownService} {
+		eval.set(func(context.Context, string, ...float64) (float64, error) {
+			return 0, fmt.Errorf("core: app: %w", fault)
+		})
+		if ans := srv.Serve(context.Background(), Request{}); ans.Err == nil {
+			t.Fatalf("%v: served %+v, want an error", fault, ans)
+		}
+	}
+	if len(events) != 0 {
+		t.Fatalf("request faults published %d outcomes: %+v", len(events), events)
+	}
+	eval.set(func(context.Context, string, ...float64) (float64, error) {
+		return 0, fmt.Errorf("core: app: %w", core.ErrNonFinite)
+	})
+	srv.Serve(context.Background(), Request{})
+	if len(events) != 1 || events[0].Success {
+		t.Fatalf("model failure published %+v, want one failed outcome", events)
 	}
 }
 

@@ -120,8 +120,10 @@ type Config struct {
 	// the wall clock).
 	Clock socruntime.Clock
 	// OnOutcome, when set, receives one Outcome for every Serve request
-	// whose evaluation actually ran (shed or expired requests emit
-	// nothing — they observed the server, not the model). It is called
+	// whose evaluation actually ran. Shed or expired requests emit
+	// nothing: they observed the server, not the model. Nor does a
+	// request the evaluator rejected for its own shape (core.ErrorClass
+	// "arity" or "unknown-service"): it observed the client. It is called
 	// outside the server's lock, so calling back into the server is
 	// safe. This is the outcome stream estimation layers consume.
 	OnOutcome func(Outcome)
@@ -403,7 +405,7 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 	}
 	s.mu.Unlock()
 
-	if s.cfg.OnOutcome != nil {
+	if s.cfg.OnOutcome != nil && !requestFault(err) {
 		s.cfg.OnOutcome(Outcome{
 			Service: service,
 			Scope:   req.Scope,
@@ -413,6 +415,17 @@ func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 		})
 	}
 	return ans
+}
+
+// requestFault reports whether err is the request's own fault (a wrong
+// parameter count or an unknown service name) rather than evidence about
+// the evaluated service.
+func requestFault(err error) bool {
+	switch core.ErrorClass(err) {
+	case "arity", "unknown-service":
+		return true
+	}
+	return false
 }
 
 // ServeBatch answers one batched request: the grid is admitted as a

@@ -367,10 +367,11 @@ func TestDegradationLadder(t *testing.T) {
 		if st.Exact != 2 || st.Stale != 3 || st.Bounded != 0 || st.Unavailable != 3 {
 			t.Fatalf("ladder stats = %+v", st)
 		}
-		// Sheds and Stale evaluations emit no outcome; the three
-		// evaluations the server ran do.
-		if outcomes != 3 {
-			t.Fatalf("outcomes = %d, want 3", outcomes)
+		// Sheds and Stale evaluations emit no outcome, and neither does
+		// the wrong-arity request, the client's fault; the two exact
+		// evaluations do.
+		if outcomes != 2 {
+			t.Fatalf("outcomes = %d, want 2", outcomes)
 		}
 	})
 

@@ -249,9 +249,9 @@ const (
 )
 
 // NewEvaluator returns an evaluator over the resolver (usually an
-// *Assembly). The evaluator transparently compiles hot root services and
-// serves repeat queries from the compiled artifact; use Compile directly
-// for explicit compile-then-execute control and concurrent evaluation.
+// *Assembly): the paper's recursive Pfail_Alg, interpreted on every call
+// and memoized per (service, parameters). It never compiles; use Compile
+// for the compiled engine and concurrent evaluation.
 func NewEvaluator(resolver model.Resolver, opts Options) *Evaluator {
 	return core.New(resolver, opts)
 }
@@ -356,10 +356,6 @@ type (
 	// EvalError prefixes a failure with the service/state path from the
 	// evaluation root down to the defect.
 	EvalError = core.EvalError
-	// FallbackRecord describes one root service that degraded from the
-	// compiled to the interpreted path (see Evaluator.Fallbacks and
-	// Options.OnFallback).
-	FallbackRecord = core.FallbackRecord
 )
 
 // Monte Carlo validation.
