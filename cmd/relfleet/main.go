@@ -118,8 +118,8 @@ func run(args []string, out io.Writer) error {
 		}
 		for _, n := range f.Live() {
 			st := n.Server().Stats()
-			fmt.Fprintf(out, "relfleet: %s final stats: offered=%d exact=%d stale=%d bounded=%d unavailable=%d shed_draining=%d\n",
-				n.ID(), st.Offered, st.Exact, st.Stale, st.Bounded, st.Unavailable, st.ShedDraining)
+			fmt.Fprintf(out, "relfleet: %s final stats: offered=%d exact=%d stale=%d unavailable=%d shed_draining=%d\n",
+				n.ID(), st.Offered, st.Exact, st.Stale, st.Unavailable, st.ShedDraining)
 		}
 	})
 }
@@ -197,13 +197,12 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		perReplica := map[string]any{}
-		var offered, exact, stale, bounded, unavailable, shed uint64
+		var offered, exact, stale, unavailable, shed uint64
 		for _, n := range f.Live() {
 			st := n.Server().Stats()
 			offered += st.Offered
 			exact += st.Exact
 			stale += st.Stale
-			bounded += st.Bounded
 			unavailable += st.Unavailable
 			shed += st.ShedQueueFull + st.ShedClass + st.ShedDeadline + st.SweptExpired + st.ShedDraining
 			perReplica[n.ID()] = httpapi.ServerStats(st, n.Server().Draining(), n.Estimator())
@@ -212,7 +211,6 @@ func newFleetMux(f *cluster.Fleet, ca *core.CompiledAssembly) *http.ServeMux {
 			"offered":     offered,
 			"exact":       exact,
 			"stale":       stale,
-			"bounded":     bounded,
 			"unavailable": unavailable,
 			"shed":        shed,
 			"replicas":    perReplica,

@@ -135,13 +135,14 @@ func TestWireFormatKeys(t *testing.T) {
 	}
 	wantKeys(t, "stale answer", m, append(answer, "age_ms", "error"), nil)
 
-	// Bounded: a solver that stopped short, with no last-good value.
+	// A solver that stopped short answers Unavailable. The Bounded kind
+	// and its lo and hi keys are gone: the residual certified no bound.
 	eval.setFail(&linalg.NoConvergenceError{Iterations: 10, Residual: 0.05})
 	resp, m = postPredict(t, ts.URL, `{"params":[1,4096,1]}`)
-	if resp.StatusCode != http.StatusOK || m["kind"] != "bounded" {
-		t.Fatalf("bounded: %d %v", resp.StatusCode, m)
+	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
+		t.Fatalf("no convergence: %d %v", resp.StatusCode, m)
 	}
-	wantKeys(t, "bounded answer", m, append(answer, "lo", "hi", "error"), nil)
+	wantKeys(t, "no-convergence answer", m, append(answer, "lo", "hi", "error"), nil, "lo", "hi")
 
 	eval.setFail(errors.New("backend down"))
 	resp, m = postPredict(t, ts.URL, `{"params":[1,4096,1]}`)
@@ -192,7 +193,10 @@ func TestWireFormatKeys(t *testing.T) {
 	wantKeys(t, "/cluster member", members[0], []string{"id", "state", "heartbeat"}, nil)
 
 	m = getJSON(t, ts.URL+"/stats")
-	wantKeys(t, "/stats", m, []string{"offered", "exact", "stale", "bounded", "unavailable", "shed", "replicas", "parametric"}, nil)
+	wantKeys(t, "/stats", m, []string{"offered", "exact", "stale", "bounded", "unavailable", "shed", "replicas", "parametric"}, nil,
+		// No answer is Bounded any more.
+		"bounded",
+	)
 	wantKeys(t, "/stats parametric", m["parametric"], []string{"outputs", "fallbacks", "parametric_points", "numeric_points", "gradient_points"}, nil)
 	rep := m["replicas"].(map[string]any)["replica-0"]
 	wantKeys(t, "/stats replica", rep, []string{
@@ -202,8 +206,8 @@ func TestWireFormatKeys(t *testing.T) {
 		"admitted", "shed_queue_full", "shed_class", "shed_deadline", "shed_draining", "swept_expired",
 		"canceled_waiting", "hedges_launched", "hedge_wins", "repaired", "estimated_latency_us", "hedge_delay_us",
 	},
-		// The server no longer hedges requests.
-		"hedges_launched", "hedge_wins", "hedge_delay_us",
+		// The server no longer hedges requests, and no answer is Bounded.
+		"hedges_launched", "hedge_wins", "hedge_delay_us", "bounded",
 	)
 	wantKeys(t, "/stats replica estimator", rep.(map[string]any)["estimator"], []string{"observed", "keys", "drift_violations", "merged", "bad_merges"}, nil)
 }

@@ -1,7 +1,7 @@
 // Command relserve serves reliability predictions over HTTP through the
 // overload-resilient serving layer: admission control, AIMD concurrency
 // limiting, priority-class load shedding, and the graceful-degradation
-// ladder (exact → stale → bounded → unavailable).
+// ladder (exact → stale → unavailable).
 //
 // Usage:
 //
@@ -36,7 +36,7 @@
 // while @N keeps serving that exact version no matter what is published.
 //
 // Every /predict response carries a "kind" tag; degraded answers (stale,
-// bounded, unavailable) also carry the causing "error". Shed requests
+// unavailable) also carry the causing "error". Shed requests
 // return 503 with a Retry-After hint; bodies past 4 MiB get 413. The wire
 // layer is internal/httpapi, shared with relfleet.
 package main
@@ -152,8 +152,8 @@ func run(args []string, out io.Writer) error {
 // from run so tests drive it on a fake clock.
 func drainAndReport(srv *server.Server, out io.Writer, timeout time.Duration) error {
 	st, err := srv.Drain(context.Background(), timeout)
-	fmt.Fprintf(out, "relserve: final stats: offered=%d exact=%d stale=%d bounded=%d unavailable=%d shed_draining=%d inflight=%d queue_depth=%d\n",
-		st.Offered, st.Exact, st.Stale, st.Bounded, st.Unavailable, st.ShedDraining, st.Inflight, st.QueueDepth)
+	fmt.Fprintf(out, "relserve: final stats: offered=%d exact=%d stale=%d unavailable=%d shed_draining=%d inflight=%d queue_depth=%d\n",
+		st.Offered, st.Exact, st.Stale, st.Unavailable, st.ShedDraining, st.Inflight, st.QueueDepth)
 	return err
 }
 

@@ -90,15 +90,16 @@ func TestWireFormatKeys(t *testing.T) {
 	}
 	wantKeys(t, "exact answer", m, answer, nil)
 
-	// Bounded: a solver that stopped short, with no last-good value.
+	// A solver that stopped short answers Unavailable. The Bounded kind
+	// and its lo and hi keys are gone: the residual certified no bound.
 	eval.set(func(context.Context, string, ...float64) (float64, error) {
 		return 0, &linalg.NoConvergenceError{Iterations: 10, Residual: 0.05}
 	})
 	resp, m = doReq(t, "POST", ts.URL+"/predict", `{"params":[1]}`)
-	if resp.StatusCode != http.StatusOK || m["kind"] != "bounded" {
-		t.Fatalf("bounded: %d %v", resp.StatusCode, m)
+	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
+		t.Fatalf("no convergence: %d %v", resp.StatusCode, m)
 	}
-	wantKeys(t, "bounded answer", m, append(answer, "lo", "hi", "error"), nil)
+	wantKeys(t, "no-convergence answer", m, append(answer, "lo", "hi", "error"), nil, "lo", "hi")
 
 	resp, m = doReq(t, "POST", ts.URL+"/predict?model=acme/none", `{"params":[2]}`)
 	if resp.StatusCode != http.StatusNotFound {
@@ -158,8 +159,8 @@ func TestWireFormatKeys(t *testing.T) {
 		"limit", "inflight", "queue_depth", "estimated_latency_us", "hedge_delay_us", "saturation",
 		"artifact_cache", "estimator", "parametric",
 	}, []string{"repaired"},
-		// The server no longer hedges requests.
-		"hedges_launched", "hedge_wins", "hedge_delay_us",
+		// The server no longer hedges requests, and no answer is Bounded.
+		"hedges_launched", "hedge_wins", "hedge_delay_us", "bounded",
 	)
 	wantKeys(t, "/stats artifact_cache", m["artifact_cache"], []string{"hits", "misses", "evictions", "entries"}, nil)
 	wantKeys(t, "/stats estimator", m["estimator"], []string{"observed", "keys", "drift_violations", "merged", "bad_merges"}, nil)

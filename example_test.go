@@ -40,66 +40,3 @@ func Example() {
 	// Output:
 	// local 0.998158 vs remote 0.996686 -> deploy local
 }
-
-// ExampleParseADL builds an assembly from the textual analytic-interface
-// language and predicts through it.
-func ExampleParseADL() {
-	doc, err := socrel.ParseADL(`
-service node cpu {
-    speed 1e9
-    rate 1e-10
-}
-service hash composite(bytes) {
-    attr phi 1e-10
-    state work and nosharing {
-        call node(20 * bytes) internal 1 - (1 - phi)^(20 * bytes)
-    }
-    transition Start -> work prob 1
-    transition work -> End prob 1
-}
-assembly prod {
-    bind hash.node -> node
-}
-`)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	asm, err := doc.BuildAssembly("prod")
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	rel, err := socrel.NewEvaluator(asm, socrel.Options{}).Reliability("hash", 1e6)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("hashing 1 MB: reliability %.6f\n", rel)
-	// Output:
-	// hashing 1 MB: reliability 0.998002
-}
-
-// ExampleUncertainty reports a reliability band instead of a point
-// estimate when the network failure rate is only roughly known.
-func ExampleUncertainty() {
-	f := func(params map[string]float64) (float64, error) {
-		p := socrel.DefaultPaperParams()
-		p.Gamma = params["gamma"]
-		asm, err := socrel.RemoteAssembly(p)
-		if err != nil {
-			return 0, err
-		}
-		return socrel.NewEvaluator(asm, socrel.Options{}).Reliability("search", 1, 256, 1)
-	}
-	res, err := socrel.Uncertainty(f, map[string]socrel.Dist{
-		"gamma": {Kind: socrel.DistLogUniform, A: 5e-3, B: 5e-2},
-	}, 2000, 1)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("90%% band within [0.96, 1.00]: %v\n", res.Q05 > 0.96 && res.Q95 < 1)
-	// Output:
-	// 90% band within [0.96, 1.00]: true
-}

@@ -1,35 +1,59 @@
 package socrel_test
 
-// Coverage of the extension re-exports: every public wrapper must be
-// callable and behave like its internal counterpart.
+// Workflow checks that reach past the facade: the extension subsystems
+// (connectors, error propagation, DOT export, design-space exploration,
+// the serving tier, the fleet and online estimation) are driven through
+// their internal packages, next to the facade names that build the
+// assemblies they run on.
 
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"socrel"
+	"socrel/internal/cluster"
+	"socrel/internal/core"
+	"socrel/internal/dot"
+	"socrel/internal/estimate"
+	"socrel/internal/expr"
+	"socrel/internal/faultinject"
+	"socrel/internal/model"
+	"socrel/internal/monitor"
+	"socrel/internal/perf"
+	"socrel/internal/propagation"
+	"socrel/internal/registry"
+	socruntime "socrel/internal/runtime"
+	"socrel/internal/sensitivity"
+	"socrel/internal/server"
 )
 
 func TestFacadeConnectors(t *testing.T) {
-	retry, err := socrel.NewRetry("r", 3)
+	retry, err := model.NewRetry("r", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := retry.Roles(); len(got) != 1 || got[0] != socrel.RoleTransport {
+	if got := retry.Roles(); len(got) != 1 || got[0] != model.RoleTransport {
 		t.Errorf("retry roles = %v", got)
 	}
-	rep, err := socrel.NewKOfNTransport("rep", 3, 2, socrel.Sharing)
+	rep, err := model.NewKOfNTransport("rep", 3, 2, socrel.Sharing)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Flow().State("deliver").K != 2 {
 		t.Error("k-of-n threshold lost")
 	}
-	q, err := socrel.NewQueue("q", 10, 270)
+	q, err := model.NewQueue("q", 10, 270)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +62,12 @@ func TestFacadeConnectors(t *testing.T) {
 	for _, r := range roles {
 		found[r] = true
 	}
-	for _, want := range []string{socrel.RoleBrokerCPU, socrel.RoleNet1, socrel.RoleNet2} {
+	for _, want := range []string{model.RoleBrokerCPU, model.RoleNet1, model.RoleNet2} {
 		if !found[want] {
 			t.Errorf("queue missing role %q (has %v)", want, roles)
 		}
 	}
-	lpc, err := socrel.NewLPC("l", 100)
+	lpc, err := model.NewLPC("l", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +85,8 @@ func TestFacadePropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a := socrel.NewPropagationAnalysis(flow)
-	if err := a.SetBehavior("s", socrel.PropagationBehavior{PIntro: 0.25}); err != nil {
+	a := propagation.New(flow)
+	if err := a.SetBehavior("s", propagation.Behavior{PIntro: 0.25}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := a.Run()
@@ -83,12 +107,12 @@ func TestFacadePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, ok := svc.(*socrel.Composite)
+	comp, ok := svc.(*model.Composite)
 	if !ok {
 		t.Fatal("search is not a composite")
 	}
-	pa, err := socrel.PropagationFromComposite(asm, comp, []float64{1, 256, 1}, socrel.Options{},
-		map[string]socrel.PropagationBehavior{"sort": {PIntro: 0.1}})
+	pa, err := propagation.FromComposite(asm, comp, []float64{1, 256, 1}, socrel.Options{},
+		map[string]propagation.Behavior{"sort": {PIntro: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +139,10 @@ func TestFacadeMonitorVerdicts(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Record(true)
 	}
-	if m.SPRT() != socrel.VerdictMeeting {
+	if m.SPRT() != monitor.Meeting {
 		t.Errorf("verdict = %v", m.SPRT())
 	}
-	if m.IntervalCheck(1.96, 10) != socrel.VerdictMeeting {
+	if m.IntervalCheck(1.96, 10) != monitor.Meeting {
 		t.Errorf("interval verdict = %v", m.IntervalCheck(1.96, 10))
 	}
 }
@@ -129,18 +153,18 @@ func TestFacadeDOT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(socrel.AssemblyDOT(asm), "digraph") {
+	if !strings.Contains(dot.Assembly(asm), "digraph") {
 		t.Error("AssemblyDOT")
 	}
 	svc, err := asm.ServiceByName("search")
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := svc.(*socrel.Composite)
-	if !strings.Contains(socrel.FlowDOT(comp), "call sort(list)") {
+	comp := svc.(*model.Composite)
+	if !strings.Contains(dot.Flow(comp), "call sort(list)") {
 		t.Error("FlowDOT")
 	}
-	s, err := socrel.FlowWithFailuresDOT(asm, comp, []float64{1, 256, 1}, socrel.Options{})
+	s, err := dot.FlowWithFailures(asm, comp, []float64{1, 256, 1}, socrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +191,17 @@ func TestFacadeExploreAndPareto(t *testing.T) {
 	}
 	asm.MustAddService(app)
 
-	configs, err := socrel.Explore(asm,
-		[]socrel.Choice{{Caller: "app", Role: "node",
+	configs, err := registry.Explore(asm,
+		[]registry.Choice{{Caller: "app", Role: "node",
 			Candidates: []socrel.Candidate{{Provider: "fast"}, {Provider: "safe"}}}},
-		socrel.ExploreOptions{WithTime: true}, "app")
+		registry.ExploreOptions{WithTime: true}, "app")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(configs) != 2 {
 		t.Fatalf("configs = %+v", configs)
 	}
-	front := socrel.ParetoFront(configs)
+	front := registry.ParetoFront(configs)
 	if len(front) != 2 { // fast is faster, safe is safer: both survive
 		t.Errorf("front = %+v", front)
 	}
@@ -185,7 +209,7 @@ func TestFacadeExploreAndPareto(t *testing.T) {
 
 func TestFacadeElasticities(t *testing.T) {
 	f := func(p map[string]float64) (float64, error) { return p["x"] * p["x"], nil }
-	els, err := socrel.Elasticities(f, map[string]float64{"x": 3}, []string{"x"}, 1e-4)
+	els, err := sensitivity.Elasticities(f, map[string]float64{"x": 3}, []string{"x"}, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +220,7 @@ func TestFacadeElasticities(t *testing.T) {
 
 func TestFacadeRegistry(t *testing.T) {
 	r := socrel.NewRegistry()
-	if err := r.Publish(socrel.NewPerfect("svc"), "desc", "tag"); err != nil {
+	if err := r.Publish(model.NewPerfect("svc"), "desc", "tag"); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Discover("tag"); len(got) != 1 {
@@ -211,42 +235,35 @@ func TestFacadeSimpleConstructors(t *testing.T) {
 	if socrel.NewConstant("c", 0.5).Name() != "c" {
 		t.Error("NewConstant")
 	}
-	s := socrel.NewSimple("s", []string{"x"}, socrel.Attrs{"a": 1}, socrel.MustParseExpr("x * a"))
+	s := model.NewSimple("s", []string{"x"}, socrel.Attrs{"a": 1}, socrel.MustParseExpr("x * a"))
 	if err := s.Validate(); err != nil {
 		t.Error(err)
 	}
-	e, err := socrel.ParseExpr("1 + 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := e.Eval(socrel.Env{})
+	v, err := socrel.MustParseExpr("1 + 2").Eval(expr.Env{})
 	if err != nil || v != 3 {
-		t.Errorf("ParseExpr eval = %g, %v", v, err)
+		t.Errorf("MustParseExpr eval = %g, %v", v, err)
 	}
 	if socrel.Var("x") == nil || socrel.Num(1) == nil {
 		t.Error("expression constructors")
 	}
-	if _, err := socrel.Sweep("s", []float64{1}, func(x float64) (float64, error) { return x, nil }); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestFacadeSelfHealingRuntime(t *testing.T) {
-	clk := socrel.NewFakeClock(time.Unix(0, 0))
+	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 
-	b := socrel.NewBreaker(socrel.BreakerConfig{FailureThreshold: 2, OpenFor: time.Minute, Clock: clk})
-	if b.State() != socrel.BreakerClosed {
+	b := socruntime.NewBreaker(socruntime.BreakerConfig{FailureThreshold: 2, OpenFor: time.Minute, Clock: clk})
+	if b.State() != socruntime.Closed {
 		t.Errorf("fresh breaker = %v", b.State())
 	}
-	b.Trip(socrel.ErrProviderDegraded)
-	if b.State() != socrel.BreakerOpen {
+	b.Trip(socruntime.ErrProviderDegraded)
+	if b.State() != socruntime.Open {
 		t.Errorf("tripped breaker = %v", b.State())
 	}
 
-	if socrel.DefaultRetryable(socrel.ErrAttemptTimeout) != true {
+	if socruntime.DefaultRetryable(socruntime.ErrAttemptTimeout) != true {
 		t.Error("attempt timeouts should retry")
 	}
-	if socrel.DefaultRetryable(socrel.ErrCanceled) {
+	if socruntime.DefaultRetryable(socrel.ErrCanceled) {
 		t.Error("cancellations should fail fast")
 	}
 
@@ -255,18 +272,18 @@ func TestFacadeSelfHealingRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk2 := socrel.NewFakeClock(time.Unix(0, 0))
+	clk2 := socruntime.NewFakeClock(time.Unix(0, 0))
 	clk2.AutoAdvance()
 	rr := socrel.NewRetryResolver(asm, socrel.RetryPolicy{Clock: clk2})
 	if _, err := rr.ServiceByName("search"); err != nil {
 		t.Fatal(err)
 	}
 
-	tracker := socrel.NewHealthTracker(socrel.HealthConfig{
-		Breaker: socrel.BreakerConfig{Clock: clk},
+	tracker := socruntime.NewHealthTracker(socrel.HealthConfig{
+		Breaker: socruntime.BreakerConfig{Clock: clk},
 	})
 	cands := []socrel.Candidate{{Provider: "sort1", Connector: "lpc"}}
-	sel, err := socrel.SelectHealthyBinding(context.Background(), tracker, asm,
+	sel, err := socruntime.SelectHealthyBinding(context.Background(), tracker, asm,
 		"search", "sort", cands, socrel.Options{}, "search", 1, 256, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -277,9 +294,9 @@ func TestFacadeSelfHealingRuntime(t *testing.T) {
 	if err := tracker.Watch("sort1", sel.Reliability); err != nil {
 		t.Fatal(err)
 	}
-	tracker.Breaker("sort1").Trip(socrel.ErrProviderDegraded)
-	if _, err := socrel.SelectHealthyBinding(context.Background(), tracker, asm,
-		"search", "sort", cands, socrel.Options{}, "search", 1, 256, 1); !errors.Is(err, socrel.ErrAllQuarantined) {
+	tracker.Breaker("sort1").Trip(socruntime.ErrProviderDegraded)
+	if _, err := socruntime.SelectHealthyBinding(context.Background(), tracker, asm,
+		"search", "sort", cands, socrel.Options{}, "search", 1, 256, 1); !errors.Is(err, socruntime.ErrAllQuarantined) {
 		t.Errorf("error = %v, want ErrAllQuarantined", err)
 	}
 
@@ -288,8 +305,8 @@ func TestFacadeSelfHealingRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Record(true)
-	var snap socrel.MonitorSnapshot = m.Snapshot()
-	restored, err := socrel.RestoreMonitor(snap)
+	var snap monitor.Snapshot = m.Snapshot()
+	restored, err := monitor.Restore(snap)
 	if err != nil {
 		t.Fatalf("RestoreMonitor: %v", err)
 	}
@@ -331,11 +348,11 @@ func TestFacadeReportAndSimulator(t *testing.T) {
 	if _, err := socrel.PowersOfTwo(1, 3); err != nil {
 		t.Error(err)
 	}
-	if _, err := socrel.CombineState(socrel.AND, socrel.NoSharing, 0,
-		[]socrel.RequestFailure{{Int: 0.1, Ext: 0.1}}); err != nil {
+	if _, err := model.CombineState(socrel.AND, socrel.NoSharing, 0,
+		[]model.RequestFailure{{Int: 0.1, Ext: 0.1}}); err != nil {
 		t.Error(err)
 	}
-	prof := socrel.NewPerfProfile(asm)
+	prof := perf.New(asm)
 	if err := prof.UseCanonicalCosts(asm.ServiceNames()); err != nil {
 		t.Fatal(err)
 	}
@@ -372,31 +389,31 @@ func TestFacadeServingLayer(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		ca   *socrel.CompiledAssembly
-		kind socrel.AnswerKind
+		ca   *core.CompiledAssembly
+		kind socruntime.AnswerKind
 	}{
-		{"parametric", parametric, socrel.AnswerStale},
-		{"numeric", numeric, socrel.AnswerUnavailable},
+		{"parametric", parametric, socruntime.Stale},
+		{"numeric", numeric, socruntime.Unavailable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := socrel.NewServer(tc.ca, socrel.ServerConfig{
+			srv := server.New(tc.ca, server.Config{
 				Service: "search",
 			})
-			ans := srv.Serve(context.Background(), socrel.ServerRequest{
+			ans := srv.Serve(context.Background(), server.Request{
 				Params:   []float64{1, 4096, 1},
-				Priority: socrel.PriorityInteractive,
+				Priority: server.Interactive,
 			})
 			if !ans.IsExact() {
 				t.Fatalf("answer = %+v, want exact", ans)
 			}
-			shed := srv.Serve(context.Background(), socrel.ServerRequest{
+			shed := srv.Serve(context.Background(), server.Request{
 				Params:  []float64{1, 8192, 1},
 				Timeout: time.Nanosecond, // cannot cover any service-time estimate
 			})
-			if shed.Kind != tc.kind || !errors.Is(shed.Err, socrel.ErrOverloaded) {
+			if shed.Kind != tc.kind || !errors.Is(shed.Err, server.ErrOverloaded) {
 				t.Fatalf("shed answer = %+v, want %v wrapping ErrOverloaded", shed, tc.kind)
 			}
-			if tc.kind == socrel.AnswerStale {
+			if tc.kind == socruntime.Stale {
 				want, err := tc.ca.Pfail("search", 1, 8192, 1)
 				if err != nil {
 					t.Fatal(err)
@@ -413,15 +430,15 @@ func TestFacadeServingLayer(t *testing.T) {
 }
 
 func TestFacadeCluster(t *testing.T) {
-	clk := socrel.NewFakeClock(time.Unix(0, 0))
-	net := socrel.NewNetworkFaults(socrel.NetworkFaultsConfig{Seed: 1})
-	f, err := socrel.NewFleet(socrel.FleetConfig{
+	clk := socruntime.NewFakeClock(time.Unix(0, 0))
+	net := faultinject.NewNetwork(faultinject.NetConfig{Seed: 1})
+	f, err := cluster.NewFleet(cluster.FleetConfig{
 		Replicas: 3,
-		Node: socrel.ClusterNodeConfig{
+		Node: cluster.NodeConfig{
 			GossipInterval: time.Second,
 			Clock:          clk,
 		},
-		NewEvaluator: func(id string) socrel.ServerEvaluator {
+		NewEvaluator: func(id string) server.Evaluator {
 			return facadeConstEval{}
 		},
 		Network: net,
@@ -431,14 +448,14 @@ func TestFacadeCluster(t *testing.T) {
 	}
 	defer f.Stop()
 
-	ans := f.Serve(context.Background(), socrel.ServerRequest{Scope: "a", Params: []float64{1}})
+	ans := f.Serve(context.Background(), server.Request{Scope: "a", Params: []float64{1}})
 	if !ans.IsExact() || ans.Pfail != 0.125 {
 		t.Fatalf("fleet answer %+v, want exact 0.125", ans)
 	}
 
 	// Quarantine (upward drift) spreads by gossip through the facade
 	// types.
-	k := socrel.EstimateKey{Provider: "prov"}
+	k := estimate.Key{Provider: "prov"}
 	for _, n := range f.Nodes() {
 		if err := n.Estimator().SetBound(k, 0.01); err != nil {
 			t.Fatal(err)
@@ -446,7 +463,7 @@ func TestFacadeCluster(t *testing.T) {
 	}
 	n0 := f.Node("replica-0")
 	for i := 0; i < 200 && !n0.Quarantined("prov"); i++ {
-		n0.ObserveEstimate(socrel.EstimateOutcome{Provider: "prov", Failed: true})
+		n0.ObserveEstimate(estimate.Outcome{Provider: "prov", Failed: true})
 	}
 	f.GossipRound()
 	if !f.Quarantined("prov") {
@@ -456,22 +473,22 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatalf("no rumors sent: %+v", st)
 	}
 	for _, m := range n0.Members() {
-		if m.State != socrel.MemberAlive {
+		if m.State != cluster.Alive {
 			t.Fatalf("member %s = %v, want alive", m.ID, m.State)
 		}
 	}
 
 	// Ring + route key helpers.
-	r := socrel.NewClusterRing(0)
+	r := cluster.NewRing(0)
 	r.Add("a")
 	r.Add("b")
-	if owner, ok := r.Owner(socrel.ClusterRouteKey("s", "svc", []float64{0.5})); !ok || owner == "" {
+	if owner, ok := r.Owner(cluster.RouteKey("s", "svc", []float64{0.5})); !ok || owner == "" {
 		t.Fatal("ring gave no owner")
 	}
 
 	// Snapshot merge through the facade is idempotent.
 	snap := n0.Estimator().Checkpoint()[k.String()]
-	merged, err := socrel.MergeEstimateSnapshots(snap, snap)
+	merged, err := snap.Merge(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,16 +505,16 @@ func (facadeConstEval) PfailCtx(context.Context, string, ...float64) (float64, e
 }
 
 func TestFacadeEstimation(t *testing.T) {
-	est, err := socrel.NewEstimator(socrel.EstimatorConfig{})
+	est, err := estimate.New(estimate.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := socrel.EstimateKey{Provider: "cpu1", Context: "app"}
+	k := estimate.Key{Provider: "cpu1", Context: "app"}
 	if err := est.SetBound(k, 0.05); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		est.Observe(socrel.EstimateOutcome{Provider: "cpu1", Context: "app", Failed: i%10 == 0})
+		est.Observe(estimate.Outcome{Provider: "cpu1", Context: "app", Failed: i%10 == 0})
 	}
 	e, ok := est.Estimate(k)
 	if !ok || e.Observations != 100 || e.Failures != 10 {
@@ -507,17 +524,17 @@ func TestFacadeEstimation(t *testing.T) {
 		t.Fatalf("degenerate fit %+v", e)
 	}
 
-	rt, err := socrel.ParseEstimateKey(k.String())
+	rt, err := estimate.ParseKey(k.String())
 	if err != nil || rt != k {
 		t.Fatalf("key round trip: %v %v", rt, err)
 	}
-	if _, err := socrel.ParseEstimateKey("nope"); !errors.Is(err, socrel.ErrBadEstimateKey) {
+	if _, err := estimate.ParseKey("nope"); !errors.Is(err, estimate.ErrBadKey) {
 		t.Fatalf("malformed key error %v", err)
 	}
 
 	cp := est.Checkpoint()
 	s := cp[k.String()]
-	merged, err := socrel.MergeEstimateSnapshots(s, s)
+	merged, err := s.Merge(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +542,7 @@ func TestFacadeEstimation(t *testing.T) {
 		t.Fatalf("idempotent merge changed evidence: %+v vs %+v", merged, s)
 	}
 
-	re, err := socrel.NewReactor(socrel.ReactorConfig{Estimator: est})
+	re, err := estimate.NewReactor(estimate.ReactorConfig{Estimator: est})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +552,91 @@ func TestFacadeEstimation(t *testing.T) {
 	if got := re.Rate(k); got != 0.05 {
 		t.Fatalf("bound rate %g, want 0.05", got)
 	}
-	if err := re.Bind(k, "lambda", math.NaN()); !errors.Is(err, socrel.ErrBadBound) {
+	if err := re.Bind(k, "lambda", math.NaN()); !errors.Is(err, estimate.ErrBadBound) {
 		t.Fatalf("NaN bound error %v", err)
+	}
+}
+
+// TestFacadeMatchesUsers keeps the root package to the names its users
+// reference: every exported name must appear as socrel.Name in README.md,
+// EXPERIMENTS.md or a program under examples/, and every such reference
+// must name an exported identifier. A capability nobody reaches through
+// the facade stays in its internal package.
+func TestFacadeMatchesUsers(t *testing.T) {
+	fset := token.NewFileSet()
+	sources, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, path := range sources {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					exported[d.Name.Name] = d.Name.IsExported()
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						exported[sp.Name.Name] = sp.Name.IsExported()
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							exported[n.Name] = n.IsExported()
+						}
+					}
+				}
+			}
+		}
+	}
+
+	users := []string{"README.md", "EXPERIMENTS.md"}
+	err = filepath.WalkDir("examples", func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			users = append(users, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := regexp.MustCompile(`\bsocrel\.([A-Z][A-Za-z0-9_]*)`)
+	referenced := map[string][]string{}
+	for _, path := range users {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(src), -1) {
+			referenced[m[1]] = append(referenced[m[1]], path)
+		}
+	}
+
+	var unused, dangling []string
+	for name, isExported := range exported {
+		if isExported && referenced[name] == nil {
+			unused = append(unused, name)
+		}
+	}
+	for name, paths := range referenced {
+		if !exported[name] {
+			dangling = append(dangling, name+" ("+paths[0]+")")
+		}
+	}
+	sort.Strings(unused)
+	sort.Strings(dangling)
+	if len(unused) > 0 {
+		t.Errorf("%d exported names no user references as socrel.Name: %v", len(unused), unused)
+	}
+	if len(dangling) > 0 {
+		t.Errorf("references to names the root package does not export: %v", dangling)
 	}
 }

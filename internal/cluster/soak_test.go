@@ -71,8 +71,8 @@ type scopedAnswer struct {
 //
 //   - every answer is tagged and exact ⇔ nil-error holds throughout,
 //     through forwarding, fallback, partition, and overload;
-//   - degraded answers never leak across scopes: a Stale or Bounded
-//     answer for one scope always carries that scope's own value;
+//   - degraded answers never leak across scopes: a Stale answer for one
+//     scope always carries that scope's own value;
 //   - a provider whose failure rate drifts up on one replica
 //     quarantines fleet-wide within bounded gossip rounds once the
 //     partition heals, and does NOT cross the partition while it holds;
@@ -204,15 +204,8 @@ func TestClusterChaosSoak(t *testing.T) {
 			if (ans.Kind == socruntime.Exact) != (ans.Err == nil) {
 				t.Fatalf("%s: exact ⇔ nil-error violated: %+v", phase, ans)
 			}
-			switch ans.Kind {
-			case socruntime.Exact, socruntime.Stale:
-				if ans.Pfail != want {
-					t.Fatalf("%s: scope %s got %v, want %v — cross-scope leak", phase, sa.scope, ans.Pfail, want)
-				}
-			case socruntime.Bounded:
-				if ans.Lo != want || ans.Hi != want {
-					t.Fatalf("%s: scope %s bounds [%v,%v], want [%v,%v]", phase, sa.scope, ans.Lo, ans.Hi, want, want)
-				}
+			if (ans.Kind == socruntime.Exact || ans.Kind == socruntime.Stale) && ans.Pfail != want {
+				t.Fatalf("%s: scope %s got %v, want %v — cross-scope leak", phase, sa.scope, ans.Pfail, want)
 			}
 			if ans.Kind == socruntime.Exact {
 				exact++

@@ -142,7 +142,11 @@ func classify(err error) error {
 // The cases are ordered so that the most specific sentinel in a chain
 // wins: ErrNonFinite (which aliases model.ErrNonFinite) is checked before
 // the broader model construction errors, and ErrBadTransition reports as
-// "defective-flow" through its wrapped sentinel.
+// "defective-flow" through its wrapped sentinel. model.ErrTransient is
+// checked before "unresolved-binding", "unknown-service", "no-binding"
+// and "arity": a transient lookup or bind failure also carries one of
+// those sentinels, and it is a fault of the provider at that moment, not
+// of the request or the model.
 func ErrorClass(err error) string {
 	switch {
 	case err == nil:
@@ -155,6 +159,8 @@ func ErrorClass(err error) string {
 		return "non-finite"
 	case errors.Is(err, ErrNoConvergence) || errors.Is(err, linalg.ErrNoConvergence):
 		return "no-convergence"
+	case errors.Is(err, model.ErrTransient):
+		return "transient"
 	case errors.Is(err, ErrUnresolvedBinding):
 		return "unresolved-binding"
 	case errors.Is(err, ErrDefectiveFlow) || errors.Is(err, markov.ErrInvalidProbability) || errors.Is(err, markov.ErrNotAbsorbing):
@@ -173,8 +179,6 @@ func ErrorClass(err error) string {
 		return "no-binding"
 	case errors.Is(err, model.ErrArity):
 		return "arity"
-	case errors.Is(err, model.ErrTransient):
-		return "transient"
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return "canceled"
 	default:

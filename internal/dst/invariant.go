@@ -71,22 +71,13 @@ func checkTaggedAnswers(w *World) error {
 }
 
 // checkScopeConsistency: exact and stale answers carry their scope's own
-// oracle value, and bounded answers bracket it — degraded state never
-// leaks across scopes.
+// oracle value — degraded state never leaks across scopes.
 func checkScopeConsistency(w *World) error {
 	for i, sa := range w.LastAnswers() {
 		want := w.Oracle(sa.Scope)
-		switch sa.Answer.Kind {
-		case socruntime.Exact, socruntime.Stale:
-			if sa.Answer.Pfail != want {
-				return fmt.Errorf("answer %d scope %s: pfail %v, want %v",
-					i, sa.Scope, sa.Answer.Pfail, want)
-			}
-		case socruntime.Bounded:
-			if sa.Answer.Lo > want || sa.Answer.Hi < want {
-				return fmt.Errorf("answer %d scope %s: bounds [%v, %v] exclude %v",
-					i, sa.Scope, sa.Answer.Lo, sa.Answer.Hi, want)
-			}
+		if k := sa.Answer.Kind; (k == socruntime.Exact || k == socruntime.Stale) && sa.Answer.Pfail != want {
+			return fmt.Errorf("answer %d scope %s: pfail %v, want %v",
+				i, sa.Scope, sa.Answer.Pfail, want)
 		}
 	}
 	return nil

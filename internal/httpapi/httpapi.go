@@ -114,13 +114,11 @@ func ParsePriority(s string) (server.Priority, error) {
 // PredictResponse is the wire form of one answer. Kind is always set;
 // Error is present exactly when the answer is degraded.
 type PredictResponse struct {
-	Kind        string   `json:"kind"`
-	Pfail       float64  `json:"pfail"`
-	Reliability float64  `json:"reliability"`
-	Lo          *float64 `json:"lo,omitempty"`
-	Hi          *float64 `json:"hi,omitempty"`
-	AgeMS       int64    `json:"age_ms,omitempty"`
-	Error       string   `json:"error,omitempty"`
+	Kind        string  `json:"kind"`
+	Pfail       float64 `json:"pfail"`
+	Reliability float64 `json:"reliability"`
+	AgeMS       int64   `json:"age_ms,omitempty"`
+	Error       string  `json:"error,omitempty"`
 }
 
 // ToResponse converts an answer to its wire form.
@@ -129,10 +127,6 @@ func ToResponse(a socruntime.Answer) PredictResponse {
 		Kind:        a.Kind.String(),
 		Pfail:       a.Pfail,
 		Reliability: a.Reliability(),
-	}
-	if a.Kind == socruntime.Bounded {
-		lo, hi := a.Lo, a.Hi
-		r.Lo, r.Hi = &lo, &hi
 	}
 	if a.Age > 0 {
 		r.AgeMS = a.Age.Milliseconds()
@@ -144,7 +138,7 @@ func ToResponse(a socruntime.Answer) PredictResponse {
 }
 
 // StatusFor maps an answer to its HTTP status: any usable value (exact,
-// stale, bounded) is a 200; a request shed by admission control (which
+// stale) is a 200; a request shed by admission control (which
 // includes a draining server) or sent to a stopped replica is a 503; any
 // other failure is a 500.
 func StatusFor(a socruntime.Answer) int {
@@ -199,7 +193,6 @@ func ServerStats(st server.Stats, draining bool, est *estimate.Estimator) map[st
 		"admitted":             st.Admitted,
 		"exact":                st.Exact,
 		"stale":                st.Stale,
-		"bounded":              st.Bounded,
 		"unavailable":          st.Unavailable,
 		"shed_queue_full":      st.ShedQueueFull,
 		"shed_class":           st.ShedClass,

@@ -12,16 +12,16 @@ import (
 	"time"
 
 	"socrel/internal/cluster"
+	"socrel/internal/linalg"
 	socruntime "socrel/internal/runtime"
 	"socrel/internal/server"
 )
-
-func ptr(v float64) *float64 { return &v }
 
 // TestAnswerWire: each answer kind maps to its status, its Retry-After
 // header and its wire body.
 func TestAnswerWire(t *testing.T) {
 	boom := errors.New("backend exploded")
+	noConv := &linalg.NoConvergenceError{Iterations: 10, Residual: 0.05}
 	cases := []struct {
 		name       string
 		ans        socruntime.Answer
@@ -40,12 +40,6 @@ func TestAnswerWire(t *testing.T) {
 			ans:    socruntime.Answer{Kind: socruntime.Stale, Pfail: 0.5, Age: 1500 * time.Millisecond, Err: boom},
 			status: http.StatusOK,
 			body:   PredictResponse{Kind: "stale", Pfail: 0.5, Reliability: 0.5, AgeMS: 1500, Error: boom.Error()},
-		},
-		{
-			name:   "bounded carries lo and hi",
-			ans:    socruntime.Answer{Kind: socruntime.Bounded, Pfail: 0.5, Lo: 0.125, Hi: 0.5, Err: boom},
-			status: http.StatusOK,
-			body:   PredictResponse{Kind: "bounded", Pfail: 0.5, Reliability: 0.5, Lo: ptr(0.125), Hi: ptr(0.5), Error: boom.Error()},
 		},
 		{
 			name:       "overloaded",
@@ -67,6 +61,12 @@ func TestAnswerWire(t *testing.T) {
 			status:     http.StatusServiceUnavailable,
 			retryAfter: true,
 			body:       PredictResponse{Kind: "unavailable", Reliability: 1, Error: "forward: " + cluster.ErrStopped.Error()},
+		},
+		{
+			name:   "no convergence is unavailable",
+			ans:    socruntime.Answer{Kind: socruntime.Unavailable, Err: noConv},
+			status: http.StatusInternalServerError,
+			body:   PredictResponse{Kind: "unavailable", Reliability: 1, Error: noConv.Error()},
 		},
 		{
 			name:   "other failure",

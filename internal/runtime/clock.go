@@ -18,9 +18,8 @@
 //   - Supervisor ties both to an assembly: it performs the initial
 //     reliability-driven binding, streams outcomes, rebinds automatically
 //     when the current binding's breaker opens, and serves degraded
-//     answers (last-known-good with staleness, or a conservative interval
-//     from the iterative solver's residual) when an exact Pfail is
-//     unavailable.
+//     answers (last-known-good with staleness, or Unavailable without
+//     one) when an exact Pfail is unavailable.
 //
 // All time-dependent behavior runs against the Clock interface so tests
 // are deterministic: backoff, breaker quarantine windows, and staleness

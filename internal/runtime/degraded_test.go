@@ -10,42 +10,40 @@ import (
 	"socrel/internal/linalg"
 )
 
+// TestDegradeBoundedFromResidual checks that a solve that stopped short
+// degrades like any other failure: with a last-good value the answer is
+// Stale at that value, and the residual widens nothing.
 func TestDegradeBoundedFromResidual(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	cause := fmt.Errorf("solve: %w", &linalg.NoConvergenceError{Iterations: 9, Residual: 0.05})
 	last := &LastGood{Pfail: 0.02, Provider: "p", At: now.Add(-3 * time.Second)}
 
 	a := Degrade(cause, last, now)
-	if a.Kind != Bounded {
-		t.Fatalf("kind = %v, want bounded", a.Kind)
+	if a.Kind != Stale || a.Pfail != 0.02 {
+		t.Fatalf("answer = %+v, want stale 0.02", a)
 	}
-	if a.Lo != 0 || math.Abs(a.Hi-0.07) > 1e-12 {
-		t.Fatalf("bound [%g, %g], want [0, 0.07]", a.Lo, a.Hi)
-	}
-	if a.Pfail != a.Hi {
-		t.Fatalf("Pfail = %g, want the conservative end %g", a.Pfail, a.Hi)
-	}
-	if a.Provider != "p" || a.Age != 3*time.Second {
+	if a.Provider != "p" || a.Age != 3*time.Second || !a.AsOf.Equal(last.At) {
 		t.Fatalf("answer = %+v, want provider p aged 3s", a)
 	}
 	if !errors.Is(a.Err, linalg.ErrNoConvergence) || a.IsExact() {
-		t.Fatalf("bounded answer mis-tagged: %+v", a)
+		t.Fatalf("stale answer mis-tagged: %+v", a)
 	}
-
-	// Reliability is the conservative (lower) bound under the upper Pfail.
-	if math.Abs(a.Reliability()-0.93) > 1e-12 {
-		t.Fatalf("Reliability = %g, want 0.93", a.Reliability())
+	if math.Abs(a.Reliability()-0.98) > 1e-12 {
+		t.Fatalf("Reliability = %g, want 0.98", a.Reliability())
 	}
 }
 
+// TestDegradeBoundedWithoutHistoryIsVacuous checks that a solve that
+// stopped short with no last-good value is Unavailable, not a vacuous
+// [0, 1] interval.
 func TestDegradeBoundedWithoutHistoryIsVacuous(t *testing.T) {
 	cause := &linalg.NoConvergenceError{Iterations: 1, Residual: 0.5}
 	a := Degrade(cause, nil, time.Unix(0, 0))
-	if a.Kind != Bounded {
-		t.Fatalf("kind = %v, want bounded", a.Kind)
+	if a.Kind != Unavailable || a.Pfail != 0 {
+		t.Fatalf("answer = %+v, want unavailable", a)
 	}
-	if a.Lo != 0 || a.Hi != 1 || a.Pfail != 1 {
-		t.Fatalf("bound [%g, %g] Pfail %g, want the vacuous [0, 1] with Pfail 1", a.Lo, a.Hi, a.Pfail)
+	if !errors.Is(a.Err, linalg.ErrNoConvergence) || a.IsExact() {
+		t.Fatalf("unavailable answer mis-tagged: %+v", a)
 	}
 }
 
@@ -77,22 +75,11 @@ func TestAnswerKindStrings(t *testing.T) {
 	for kind, want := range map[AnswerKind]string{
 		Exact:          "exact",
 		Stale:          "stale",
-		Bounded:        "bounded",
 		Unavailable:    "unavailable",
 		AnswerKind(42): "AnswerKind(42)",
 	} {
 		if got := kind.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(kind), got, want)
-		}
-	}
-}
-
-func TestClamp01(t *testing.T) {
-	for _, tc := range []struct{ in, want float64 }{
-		{-0.5, 0}, {0, 0}, {0.25, 0.25}, {1, 1}, {1.5, 1},
-	} {
-		if got := clamp01(tc.in); got != tc.want {
-			t.Errorf("clamp01(%g) = %g, want %g", tc.in, got, tc.want)
 		}
 	}
 }

@@ -172,6 +172,8 @@ func TestSupervisorSPRTFailoverAndRecovery(t *testing.T) {
 	}
 }
 
+// TestSupervisorDegradesToBoundedOnNoConvergence checks the Supervisor's
+// answer when the solver stops short after an exact answer.
 func TestSupervisorDegradesToBoundedOnNoConvergence(t *testing.T) {
 	clk := rt.NewFakeClock(t0)
 	gate := &gateResolver{}
@@ -190,21 +192,16 @@ func TestSupervisorDegradesToBoundedOnNoConvergence(t *testing.T) {
 	clk.Advance(time.Second)
 
 	ans := sup.Pfail(ctx)
-	if ans.Kind != rt.Bounded {
-		t.Fatalf("answer = %+v, want bounded", ans)
-	}
-	// Interval: last good 0.01 widened by the residual 0.02, clamped.
-	if ans.Lo != 0 || math.Abs(ans.Hi-0.03) > 1e-12 {
-		t.Fatalf("bound [%g, %g], want [0, 0.03]", ans.Lo, ans.Hi)
-	}
-	if ans.Pfail != ans.Hi {
-		t.Fatalf("bounded Pfail = %g, want the conservative end %g", ans.Pfail, ans.Hi)
+	// A solve that stopped short degrades like any other failure: Stale
+	// at the last good value 0.01, with no interval around it.
+	if ans.Kind != rt.Stale || math.Abs(ans.Pfail-0.01) > 1e-12 || ans.Age != time.Second {
+		t.Fatalf("answer = %+v, want stale 0.01 aged 1s", ans)
 	}
 	if !errors.Is(ans.Err, linalg.ErrNoConvergence) {
-		t.Fatalf("bounded Err = %v, want ErrNoConvergence", ans.Err)
+		t.Fatalf("stale Err = %v, want ErrNoConvergence", ans.Err)
 	}
 	if ans.IsExact() {
-		t.Fatal("bounded answer claims to be exact")
+		t.Fatal("stale answer claims to be exact")
 	}
 }
 

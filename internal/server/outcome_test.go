@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"socrel/internal/assembly"
 	"socrel/internal/core"
+	"socrel/internal/faultinject"
 	"socrel/internal/model"
 	socruntime "socrel/internal/runtime"
 )
@@ -72,6 +74,32 @@ func TestOnOutcomeSilentForRequestFaults(t *testing.T) {
 	srv.Serve(context.Background(), Request{})
 	if len(events) != 1 || events[0].Success {
 		t.Fatalf("model failure published %+v, want one failed outcome", events)
+	}
+}
+
+// TestOnOutcomePublishesTransientLookupFaults: a transient lookup
+// failure also carries model.ErrUnknownService, but it is the provider
+// failing at that moment, not a request for a service that does not
+// exist, so it publishes one failed outcome.
+func TestOnOutcomePublishesTransientLookupFaults(t *testing.T) {
+	asm, err := assembly.LocalAssembly(assembly.DefaultPaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := core.New(faultinject.Wrap(asm, faultinject.Options{LookupFailureRate: 1}), core.Options{})
+	var events []Outcome
+	srv := New(eval, Config{
+		Service:   "search",
+		Clock:     socruntime.NewFakeClock(time.Unix(1000, 0)),
+		OnOutcome: func(o Outcome) { events = append(events, o) },
+	})
+	ans := srv.Serve(context.Background(), Request{Params: []float64{1, 4096, 1}})
+	checkInvariant(t, ans)
+	if ans.Kind != socruntime.Unavailable || !errors.Is(ans.Err, model.ErrTransient) {
+		t.Fatalf("answer = %+v, want Unavailable carrying the transient fault", ans)
+	}
+	if len(events) != 1 || events[0].Success || events[0].Service != "search" {
+		t.Fatalf("outcomes = %+v (class %q), want one failed outcome for search", events, core.ErrorClass(ans.Err))
 	}
 }
 

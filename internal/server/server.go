@@ -36,8 +36,7 @@
 // inline evaluator, the answer is Stale: the scope's closed form
 // evaluated at the requested point, as of the record. Any other failure
 // degrades through runtime.Degrade with no last-good value, so it is
-// Bounded only on a solver residual (the vacuous [0, 1]) and Unavailable
-// otherwise. The exact ⇔ nil-error invariant of the runtime package
+// Unavailable. The exact ⇔ nil-error invariant of the runtime package
 // holds throughout.
 //
 // All time-dependent behavior runs against runtime.Clock, so queue,
@@ -227,7 +226,7 @@ type Stats struct {
 	Admitted uint64
 	// Answer-kind counters over all served requests (batch requests
 	// count per point).
-	Exact, Stale, Bounded, Unavailable uint64
+	Exact, Stale, Unavailable uint64
 	// Shed reasons.
 	ShedQueueFull, ShedClass, ShedDeadline, SweptExpired, CanceledWaiting uint64
 	// ShedDraining counts requests refused because the server is
@@ -336,10 +335,10 @@ func (s *Server) saturationLocked() Saturation {
 }
 
 // Serve answers one prediction request, always returning a tagged
-// answer: Exact on a successful evaluation, and a degraded tag (Stale,
-// Bounded, or Unavailable, each carrying the causing error) when the
-// request was shed, expired, or the evaluation failed. It never returns
-// the zero Answer.
+// answer: Exact on a successful evaluation, and a degraded tag (Stale or
+// Unavailable, each carrying the causing error) when the request was
+// shed, expired, or the evaluation failed. It never returns the zero
+// Answer.
 func (s *Server) Serve(ctx context.Context, req Request) socruntime.Answer {
 	if ctx == nil {
 		ctx = context.Background()
@@ -734,8 +733,6 @@ func (s *Server) countLocked(k socruntime.AnswerKind) {
 		s.stats.Exact++
 	case socruntime.Stale:
 		s.stats.Stale++
-	case socruntime.Bounded:
-		s.stats.Bounded++
 	default:
 		s.stats.Unavailable++
 	}

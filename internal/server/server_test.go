@@ -284,8 +284,8 @@ func TestSweepExpiredOnDispatch(t *testing.T) {
 // inline (closed-form) evaluator answers a shed Stale at the requested
 // point, as of the scope's last exact answer, once the scope has one.
 // Any other evaluator, and any failure of the evaluation itself, goes
-// through runtime.Degrade with no last-good value: Bounded [0, 1] on a
-// solver residual, Unavailable otherwise.
+// through runtime.Degrade with no last-good value: Unavailable, a solver
+// that stopped short included.
 func TestDegradationLadder(t *testing.T) {
 	shed := func(t *testing.T, srv *Server, scope string, params ...float64) socruntime.Answer {
 		t.Helper()
@@ -364,7 +364,7 @@ func TestDegradationLadder(t *testing.T) {
 		stale(shed(t, srv, "", 256), 256, t1)
 
 		st := srv.Stats()
-		if st.Exact != 2 || st.Stale != 3 || st.Bounded != 0 || st.Unavailable != 3 {
+		if st.Exact != 2 || st.Stale != 3 || st.Unavailable != 3 {
 			t.Fatalf("ladder stats = %+v", st)
 		}
 		// Sheds and Stale evaluations emit no outcome, and neither does
@@ -410,15 +410,16 @@ func TestDegradationLadder(t *testing.T) {
 			t.Fatalf("got %+v, want Unavailable carrying the cause", ans)
 		}
 
-		// Solver residual with no last-good value: the vacuous [0, 1].
+		// A solver that stopped short: Unavailable carrying the
+		// residual, like any other evaluation failure.
 		eval.set(func(context.Context, string, ...float64) (float64, error) {
 			return 0, &linalg.NoConvergenceError{Iterations: 10, Residual: 0.05}
 		})
 		ans = srv.Serve(ctx, Request{Params: []float64{1}})
 		checkInvariant(t, ans)
 		var nce *linalg.NoConvergenceError
-		if ans.Kind != socruntime.Bounded || ans.Lo != 0 || ans.Hi != 1 || ans.Pfail != 1 || !errors.As(ans.Err, &nce) {
-			t.Fatalf("got %+v, want Bounded [0, 1] carrying the residual", ans)
+		if ans.Kind != socruntime.Unavailable || ans.Pfail != 0 || !errors.As(ans.Err, &nce) {
+			t.Fatalf("got %+v, want Unavailable carrying the residual", ans)
 		}
 
 		// A shed with a record: Unavailable, and the evaluator is not
@@ -432,7 +433,7 @@ func TestDegradationLadder(t *testing.T) {
 		}
 
 		st := srv.Stats()
-		if st.Exact != 1 || st.Stale != 0 || st.Bounded != 1 || st.Unavailable != 3 {
+		if st.Exact != 1 || st.Stale != 0 || st.Unavailable != 4 {
 			t.Fatalf("ladder stats = %+v", st)
 		}
 	})

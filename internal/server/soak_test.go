@@ -181,7 +181,7 @@ func TestChaosSoakOverloadLadder(t *testing.T) {
 	if sheds == 0 {
 		t.Fatalf("no load shedding under a %d-request burst into a queue of 8: %+v", n, st)
 	}
-	if kinds := st.Exact + st.Stale + st.Bounded + st.Unavailable; kinds != uint64(n+warm+1) {
+	if kinds := st.Exact + st.Stale + st.Unavailable; kinds != uint64(n+warm+1) {
 		t.Fatalf("answer-kind counters sum to %d, want %d served requests", kinds, n+warm+1)
 	}
 	if inj.Injected() == 0 {

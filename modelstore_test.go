@@ -1,14 +1,18 @@
 package socrel_test
 
-// Coverage of the model-store and query/builder re-exports: the facade
-// must round-trip a document through a store and derive a working
-// variant without importing internal packages.
+// The store-and-query step of the workflow: round-trip a document
+// through a store, derive a working variant with the facade's query
+// names, and migrate a stored model.
 
 import (
 	"errors"
 	"testing"
 
 	"socrel"
+	"socrel/internal/adl"
+	"socrel/internal/core"
+	"socrel/internal/query"
+	"socrel/internal/store"
 )
 
 const storeFacadeDSL = `
@@ -34,11 +38,11 @@ assembly main {
 `
 
 func TestFacadeModelStoreRoundTrip(t *testing.T) {
-	doc, err := socrel.ParseADL(storeFacadeDSL)
+	doc, err := adl.ParseDSL(storeFacadeDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := socrel.OpenDiskStore(t.TempDir() + "/models")
+	st, err := store.Open(t.TempDir() + "/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +55,7 @@ func TestFacadeModelStoreRoundTrip(t *testing.T) {
 	if rec.Ref.Version != 1 {
 		t.Fatalf("first publish version = %d", rec.Ref.Version)
 	}
-	hash, err := socrel.HashDocument(doc)
+	hash, err := adl.Hash(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +72,11 @@ func TestFacadeModelStoreRoundTrip(t *testing.T) {
 		t.Fatalf("dedup broken: republish gave version %d", again.Ref.Version)
 	}
 
-	ref, err := socrel.ParseModelRef("acme/app@1")
+	ref, err := store.ParseRef("acme/app@1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, got, err := socrel.CompileStored(st, ref, "", socrel.Options{})
+	ca, got, err := store.Compile(st, ref, "", socrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,19 +87,19 @@ func TestFacadeModelStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := st.Get(socrel.ModelRef{Tenant: "acme", Model: "ghost"}); !errors.Is(err, socrel.ErrModelNotFound) {
+	if _, err := st.Get(store.Ref{Tenant: "acme", Model: "ghost"}); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("missing model error = %v", err)
 	}
-	if _, err := st.Publish("acme", "app", doc, socrel.PublishOptions{ExpectedLatest: 7}); !errors.Is(err, socrel.ErrModelVersionConflict) {
+	if _, err := st.Publish("acme", "app", doc, socrel.PublishOptions{ExpectedLatest: 7}); !errors.Is(err, store.ErrVersionConflict) {
 		t.Fatalf("stale CAS error = %v", err)
 	}
-	if _, err := st.Publish("no/slash", "app", doc, socrel.PublishOptions{}); !errors.Is(err, socrel.ErrBadModelName) {
+	if _, err := st.Publish("no/slash", "app", doc, socrel.PublishOptions{}); !errors.Is(err, store.ErrBadName) {
 		t.Fatalf("bad tenant error = %v", err)
 	}
 }
 
 func TestFacadeQueryBuilderVariant(t *testing.T) {
-	doc, err := socrel.ParseADL(storeFacadeDSL)
+	doc, err := adl.ParseDSL(storeFacadeDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +111,11 @@ func TestFacadeQueryBuilderVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := socrel.CompileDocument(doc, "main", socrel.Options{})
+	base, err := core.CompileDocument(doc, "main", socrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant, err := socrel.CompileDocument(vdoc, "swapped", socrel.Options{})
+	variant, err := core.CompileDocument(vdoc, "swapped", socrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,34 +132,34 @@ func TestFacadeQueryBuilderVariant(t *testing.T) {
 	}
 
 	_, err = q.Variant("nope").Build()
-	if !errors.Is(err, socrel.ErrUnknownAssembly) {
+	if !errors.Is(err, query.ErrUnknownAssembly) {
 		t.Fatalf("unknown assembly error = %v", err)
 	}
-	var be *socrel.BuildError
+	var be *query.BuildError
 	if !errors.As(err, &be) {
 		t.Fatalf("build failure is not a *BuildError: %v", err)
 	}
 }
 
 func TestFacadeMigration(t *testing.T) {
-	doc, err := socrel.ParseADL(storeFacadeDSL)
+	doc, err := adl.ParseDSL(storeFacadeDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := socrel.NewMemStore()
+	st := store.NewMem()
 	defer st.Close()
 	if _, err := st.Publish("acme", "app", doc, socrel.PublishOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
-	rename := func(d *socrel.Document) (*socrel.Document, error) {
+	rename := func(d *adl.Document) (*adl.Document, error) {
 		q := socrel.NewQuery(d)
 		return q.Variant("main").Named("renamed").BuildDocument()
 	}
-	normalize := socrel.MigrateFunc(func(d *socrel.Document) (*socrel.Document, error) {
-		return socrel.NormalizeDocument(d)
+	normalize := store.MigrateFunc(func(d *adl.Document) (*adl.Document, error) {
+		return adl.Normalize(d)
 	})
-	rec, err := socrel.MigrateModel(st, "acme", "app", socrel.ChainMigrations(rename, normalize), "rename assembly")
+	rec, err := store.Migrate(st, "acme", "app", store.Chain(rename, normalize), "rename assembly")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,44 +34,35 @@
 //	ev := socrel.NewEvaluator(asm, socrel.Options{})
 //	rel, err := ev.Reliability("sorter", 1<<20)
 //
-// Subsystems re-exported here: the service model and connectors
-// (internal/model), assemblies (internal/assembly), the evaluation engine
-// (internal/core), the expression language (internal/expr), the Monte
-// Carlo validator (internal/sim), the performance extension
-// (internal/perf), the service registry with reliability-driven selection
-// (internal/registry), the ADL (internal/adl), usage-profile estimation
-// (internal/hmm), parameter studies (internal/sensitivity), and the
-// self-healing runtime — retrying resolution, circuit-breaking health
-// tracking, supervised rebinding, degraded-mode answers
-// (internal/runtime; see extensions.go).
+// The package exports the paper's workflow and nothing else: build an
+// assembly from the service model (internal/model, internal/assembly);
+// evaluate Pfail, batches and sweeps (internal/core,
+// internal/sensitivity); compile a closed form and its gradient; validate
+// by Monte Carlo (internal/sim); select a binding (internal/registry);
+// derive and store variants (internal/query, internal/store); estimate a
+// usage profile from traces (internal/hmm); and monitor and heal a
+// binding at run time (internal/monitor, internal/runtime; see
+// extensions.go). Every other capability lives in its internal package,
+// which the binaries under cmd/ import directly.
 package socrel
 
 import (
-	"context"
-
 	"socrel/internal/adl"
 	"socrel/internal/assembly"
 	"socrel/internal/core"
 	"socrel/internal/expr"
 	"socrel/internal/hmm"
+	"socrel/internal/markov"
 	"socrel/internal/model"
-	"socrel/internal/perf"
+	"socrel/internal/query"
 	"socrel/internal/registry"
 	"socrel/internal/sensitivity"
 	"socrel/internal/sim"
+	"socrel/internal/store"
 )
 
-// Expression language.
-type (
-	// Expr is an immutable expression over formal parameters and
-	// attributes.
-	Expr = expr.Expr
-	// Env binds identifiers to values during expression evaluation.
-	Env = expr.Env
-)
-
-// ParseExpr parses expression source text.
-func ParseExpr(source string) (Expr, error) { return expr.Parse(source) }
+// Expr is an immutable expression over formal parameters and attributes.
+type Expr = expr.Expr
 
 // MustParseExpr parses statically known-good expression text, panicking on
 // error.
@@ -88,27 +79,13 @@ type (
 	// Service is an analytic interface (simple or composite).
 	Service = model.Service
 	// Resolver resolves service names and role bindings; *Assembly is the
-	// canonical implementation, and decorators (RetryResolver, fault
-	// injectors) wrap one.
+	// canonical implementation, and decorators (a retrying resolver,
+	// fault injectors) wrap one.
 	Resolver = model.Resolver
-	// Simple is a service with a closed-form failure law.
-	Simple = model.Simple
-	// Composite is a service realized by a flow of cascading requests.
-	Composite = model.Composite
-	// Flow is a composite service's usage profile.
-	Flow = model.Flow
-	// State is one flow state.
-	State = model.State
 	// Request is one cascading service request inside a state.
 	Request = model.Request
 	// Attrs holds the published attributes of an analytic interface.
 	Attrs = model.Attrs
-	// Completion selects how a state's requests must complete.
-	Completion = model.Completion
-	// Dependency selects the state's dependency model.
-	Dependency = model.Dependency
-	// RequestFailure is a request's (internal, external) failure pair.
-	RequestFailure = model.RequestFailure
 )
 
 // Completion and dependency models (section 3.2 of the paper).
@@ -117,8 +94,6 @@ const (
 	AND = model.AND
 	// OR requires at least one request to complete.
 	OR = model.OR
-	// KOfN requires at least State.K requests to complete.
-	KOfN = model.KOfN
 	// NoSharing treats a state's requests as independent.
 	NoSharing = model.NoSharing
 	// Sharing models all requests of a state targeting one shared service.
@@ -133,79 +108,52 @@ const (
 	EndState = model.EndState
 )
 
-// Connector roles bound by assemblies for the built-in connectors.
+// Roles of the RPC connector.
 const (
-	// RoleCPU is the LPC connector's processing role.
-	RoleCPU = model.RoleCPU
-	// RoleClientCPU is the RPC connector's client-side processing role.
+	// RoleClientCPU is the client-side processing role.
 	RoleClientCPU = model.RoleClientCPU
-	// RoleServerCPU is the RPC connector's server-side processing role.
+	// RoleServerCPU is the server-side processing role.
 	RoleServerCPU = model.RoleServerCPU
-	// RoleNet is the RPC connector's communication role.
+	// RoleNet is the communication role.
 	RoleNet = model.RoleNet
 )
 
-// NewSimple defines a simple service with an explicit failure-law
-// expression over formals and attrs.
-func NewSimple(name string, formals []string, attrs Attrs, pfail Expr) *Simple {
-	return model.NewSimple(name, formals, attrs, pfail)
-}
-
 // NewCPU returns a processing resource: Pfail(N) = 1 - exp(-rate*N/speed)
 // (equation 1 of the paper).
-func NewCPU(name string, speed, failureRate float64) *Simple {
+func NewCPU(name string, speed, failureRate float64) *model.Simple {
 	return model.NewCPU(name, speed, failureRate)
 }
 
 // NewNetwork returns a communication resource:
 // Pfail(B) = 1 - exp(-rate*B/bandwidth) (equation 2).
-func NewNetwork(name string, bandwidth, failureRate float64) *Simple {
+func NewNetwork(name string, bandwidth, failureRate float64) *model.Simple {
 	return model.NewNetwork(name, bandwidth, failureRate)
 }
 
-// NewPerfect returns a perfectly reliable service (e.g. a "local
-// processing" connector).
-func NewPerfect(name string, formals ...string) *Simple {
-	return model.NewPerfect(name, formals...)
-}
-
 // NewConstant returns a service with a constant failure probability.
-func NewConstant(name string, pfail float64, formals ...string) *Simple {
+func NewConstant(name string, pfail float64, formals ...string) *model.Simple {
 	return model.NewConstant(name, pfail, formals...)
 }
 
 // NewComposite defines a composite service with an empty flow.
-func NewComposite(name string, formals []string, attrs Attrs) *Composite {
+func NewComposite(name string, formals []string, attrs Attrs) *model.Composite {
 	return model.NewComposite(name, formals, attrs)
 }
-
-// NewLPC builds the local-procedure-call connector of the paper's Figure 2
-// (l control-transfer operations on the RoleCPU role).
-func NewLPC(name string, l float64) (*Composite, error) { return model.NewLPC(name, l) }
 
 // NewRPC builds the remote-procedure-call connector of Figure 2
 // (c marshal operations and m transmitted bytes per size unit, over the
 // RoleClientCPU / RoleServerCPU / RoleNet roles).
-func NewRPC(name string, c, m float64) (*Composite, error) { return model.NewRPC(name, c, m) }
+func NewRPC(name string, c, m float64) (*model.Composite, error) { return model.NewRPC(name, c, m) }
 
 // SoftwareFailure is the internal-failure law of equation (14):
 // 1 - (1-phi)^ops.
 func SoftwareFailure(phi, ops Expr) Expr { return model.SoftwareFailure(phi, ops) }
-
-// CombineState combines per-request failure probabilities into a state
-// failure probability under the given models (equations 4-13 and the
-// k-of-n extension).
-func CombineState(completion Completion, dependency Dependency, k int, reqs []RequestFailure) (float64, error) {
-	return model.CombineState(completion, dependency, k, reqs)
-}
 
 // Assemblies.
 type (
 	// Assembly is a set of services plus role bindings; it is the
 	// resolver the evaluator runs against.
 	Assembly = assembly.Assembly
-	// Binding connects a (caller, role) pair to a provider and connector.
-	Binding = assembly.Binding
 	// PaperParams holds the constants of the paper's section 4 example.
 	PaperParams = assembly.PaperParams
 )
@@ -223,41 +171,23 @@ func LocalAssembly(p PaperParams) (*Assembly, error) { return assembly.LocalAsse
 // RemoteAssembly builds the paper's remote assembly (Figure 4).
 func RemoteAssembly(p PaperParams) (*Assembly, error) { return assembly.RemoteAssembly(p) }
 
-// Evaluation engine.
-type (
-	// Evaluator computes failure probabilities over an assembly.
-	Evaluator = core.Evaluator
-	// Options configures an Evaluator.
-	Options = core.Options
-	// CyclePolicy selects how recursive assemblies are treated.
-	CyclePolicy = core.CyclePolicy
-	// EvalReport is the per-state, per-request breakdown of an evaluation.
-	EvalReport = core.Report
-	// CompiledAssembly is an immutable compiled evaluator: bindings
-	// resolved, expressions compiled to slot programs, chain skeletons
-	// pre-built. Safe for concurrent use from any number of goroutines.
-	CompiledAssembly = core.CompiledAssembly
-)
+// Options configures the evaluation engine.
+type Options = core.Options
 
-// Cycle policies.
-const (
-	// CycleError rejects recursive assemblies (the paper's procedure).
-	CycleError = core.CycleError
-	// CycleFixedPoint solves them by fixed-point iteration (the paper's
-	// proposed extension).
-	CycleFixedPoint = core.CycleFixedPoint
-)
+// ErrCanceled marks evaluations stopped by context cancellation or
+// deadline expiry (DESIGN.md section 8).
+var ErrCanceled = core.ErrCanceled
 
 // NewEvaluator returns an evaluator over the resolver (usually an
 // *Assembly): the paper's recursive Pfail_Alg, interpreted on every call
 // and memoized per (service, parameters). It never compiles; use Compile
 // for the compiled engine and concurrent evaluation.
-func NewEvaluator(resolver model.Resolver, opts Options) *Evaluator {
+func NewEvaluator(resolver model.Resolver, opts Options) *core.Evaluator {
 	return core.New(resolver, opts)
 }
 
 // Compile resolves, validates, and compiles every service of the assembly
-// up front, returning an immutable CompiledAssembly whose Pfail /
+// up front, returning an immutable compiled assembly whose Pfail /
 // PfailBatch methods are safe for concurrent use:
 //
 //	ca, err := socrel.Compile(asm, socrel.Options{})
@@ -265,229 +195,49 @@ func NewEvaluator(resolver model.Resolver, opts Options) *Evaluator {
 //
 // Compile rejects recursive assemblies and the iterative Markov solver
 // with core.ErrNotCompilable; use NewEvaluator for those.
-func Compile(asm *Assembly, opts Options) (*CompiledAssembly, error) {
+func Compile(asm *Assembly, opts Options) (*core.CompiledAssembly, error) {
 	return core.Compile(asm, opts, asm.ServiceNames()...)
 }
 
-// CompileServices compiles only the given root services (and everything
-// they transitively request) against an arbitrary resolver.
-func CompileServices(resolver model.Resolver, opts Options, roots ...string) (*CompiledAssembly, error) {
-	return core.Compile(resolver, opts, roots...)
-}
-
-// Parametric compilation: the absorbing chain is solved once,
-// symbolically, so every evaluation (Pfail, PfailBatch, sweeps,
-// uncertainty sampling) is a pure closed-form expression evaluation, and
-// exact partial derivatives come for free via Sensitivities.
-type (
-	// ParametricOptions bounds the symbolic solve (cyclic-SCC state
-	// bound, expression node budget) and observes fallbacks.
-	ParametricOptions = core.ParametricOptions
-	// ParametricStats counts closed forms, fallbacks, and how many
-	// points each path answered.
-	ParametricStats = core.ParametricStats
-)
-
-// Parametric-compilation sentinels and defaults.
-var (
-	// ErrNoParametricForm marks roots served numerically because no
-	// closed form was built (Sensitivities wraps the fallback reason).
-	ErrNoParametricForm = core.ErrNoParametricForm
-	// ErrNonDifferentiable marks closed forms whose exact gradient does
-	// not exist (absolute values, floors, minima along the solved path).
-	ErrNonDifferentiable = core.ErrNonDifferentiable
-)
-
-// DefaultStateBound is the largest cyclic strongly-connected component
-// CompileParametric eliminates symbolically before falling back to the
-// numeric kernel for that root.
-const DefaultStateBound = core.DefaultStateBound
+// ParametricOptions bounds the symbolic solve of CompileParametric
+// (cyclic-SCC state bound, expression node budget) and observes
+// fallbacks.
+type ParametricOptions = core.ParametricOptions
 
 // CompileParametric is Compile plus a symbolic solve of each root's
-// absorbing chain: the resulting CompiledAssembly answers Pfail and
-// PfailBatch by evaluating one compiled closed-form program per point
-// (falling back to the numeric kernel transparently), exposes the form
-// via ClosedForm, and exact partials via Sensitivities:
+// absorbing chain: the result answers Pfail and PfailBatch by evaluating
+// one compiled closed-form program per point (falling back to the numeric
+// kernel transparently), exposes the form via ClosedForm, and exact
+// partials via Sensitivities and Gradient:
 //
 //	ca, err := socrel.CompileParametric(asm, socrel.Options{}, socrel.ParametricOptions{})
 //	form, ok := ca.ClosedForm("search")     // printable Pfail(elem, list, res)
-//	grads, err := ca.Sensitivities("search", 1, 4096, 1)
-func CompileParametric(asm *Assembly, opts Options, popts ParametricOptions) (*CompiledAssembly, error) {
+//	grads, err := socrel.Gradient(ca, "search", 1, 4096, 1)
+func CompileParametric(asm *Assembly, opts Options, popts ParametricOptions) (*core.CompiledAssembly, error) {
 	return core.CompileParametric(asm, opts, popts, asm.ServiceNames()...)
 }
 
-// CompileParametricServices is CompileParametric for explicit roots
-// against an arbitrary resolver.
-func CompileParametricServices(resolver model.Resolver, opts Options, popts ParametricOptions, roots ...string) (*CompiledAssembly, error) {
-	return core.CompileParametric(resolver, opts, popts, roots...)
+// Gradient returns dPfail/dparam_i for every formal parameter of the
+// service: exact compiled derivatives when the assembly was built with
+// CompileParametric and admits a closed form, central finite differences
+// through the numeric kernel otherwise.
+func Gradient(ca *core.CompiledAssembly, service string, params ...float64) ([]float64, error) {
+	return sensitivity.Gradient(ca, service, params...)
 }
 
-// Resilience & error taxonomy (DESIGN.md section 8). Every failure an
-// evaluation entry point returns matches one of these sentinels (or a
-// model-layer sentinel such as model.ErrInvalidService) via errors.Is.
-var (
-	// ErrCanceled marks evaluations stopped by context cancellation or
-	// deadline expiry.
-	ErrCanceled = core.ErrCanceled
-	// ErrNonFinite marks NaN or infinite probabilities produced by a
-	// failure law, attribute, or transition expression.
-	ErrNonFinite = core.ErrNonFinite
-	// ErrNoConvergence marks iterative solves that exhausted their sweep
-	// budget; errors.As extracts the *linalg.NoConvergenceError detail.
-	ErrNoConvergence = core.ErrNoConvergence
-	// ErrUnresolvedBinding marks requests whose role could not be resolved
-	// to a registered provider or connector.
-	ErrUnresolvedBinding = core.ErrUnresolvedBinding
-	// ErrDefectiveFlow marks structurally broken usage profiles (bad row
-	// sums, transition probabilities outside [0,1], no path to absorption).
-	ErrDefectiveFlow = core.ErrDefectiveFlow
-	// ErrNotCompilable marks assemblies the compiled engine rejects
-	// (recursion, iterative solver, dynamic resolvers).
-	ErrNotCompilable = core.ErrNotCompilable
-	// ErrPanic marks evaluations recovered from a panicking expression or
-	// model; errors.As extracts the *PanicError with value and stack.
-	ErrPanic = core.ErrPanic
-)
+// Parameter sweeps.
 
-type (
-	// PanicError carries the recovered value and stack of a panic isolated
-	// inside an evaluation; it matches ErrPanic via errors.Is.
-	PanicError = core.PanicError
-	// EvalError prefixes a failure with the service/state path from the
-	// evaluation root down to the defect.
-	EvalError = core.EvalError
-)
-
-// Monte Carlo validation.
-type (
-	// Simulator is the fault-injection simulator.
-	Simulator = sim.Simulator
-	// SimOptions configures a Simulator.
-	SimOptions = sim.Options
-	// Estimate is a simulated reliability estimate with its confidence
-	// interval.
-	Estimate = sim.Estimate
-)
-
-// NewSimulator returns a simulator over the resolver.
-func NewSimulator(resolver model.Resolver, opts SimOptions) *Simulator {
-	return sim.New(resolver, opts)
-}
-
-// Performance extension.
-type (
-	// PerfProfile computes expected execution times (Markov rewards).
-	PerfProfile = perf.Profile
-)
-
-// NewPerfProfile returns an empty performance profile over the resolver.
-func NewPerfProfile(resolver model.Resolver) *PerfProfile { return perf.New(resolver) }
-
-// Registry and selection.
-type (
-	// Registry is the publish/discover service registry.
-	Registry = registry.Registry
-	// Candidate is one provider/connector option for a role.
-	Candidate = registry.Candidate
-	// Selection is the result of reliability-driven provider selection.
-	Selection = registry.Selection
-)
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return registry.New() }
-
-// SelectBinding picks the candidate binding maximizing the predicted
-// reliability of the target invocation.
-func SelectBinding(asm *Assembly, caller, role string, candidates []Candidate, opts Options, target string, params ...float64) (Selection, error) {
-	return registry.SelectBinding(asm, caller, role, candidates, opts, target, params...)
-}
-
-// SelectBindingCtx is SelectBinding honoring cancellation and isolating
-// candidate panics.
-func SelectBindingCtx(ctx context.Context, asm *Assembly, caller, role string, candidates []Candidate, opts Options, target string, params ...float64) (Selection, error) {
-	return registry.SelectBindingCtx(ctx, asm, caller, role, candidates, opts, target, params...)
-}
-
-// ADL.
-type (
-	// Document is a parsed ADL document (services + assemblies).
-	Document = adl.Document
-)
-
-// ParseADL parses the textual analytic-interface DSL.
-func ParseADL(source string) (*Document, error) { return adl.ParseDSL(source) }
-
-// MarshalADLJSON serializes a document to JSON.
-func MarshalADLJSON(d *Document) ([]byte, error) { return adl.MarshalJSON(d) }
-
-// UnmarshalADLJSON parses a JSON document.
-func UnmarshalADLJSON(data []byte) (*Document, error) { return adl.UnmarshalJSON(data) }
-
-// Usage-profile estimation.
-
-// EstimateChainFromTraces computes the maximum-likelihood usage-profile
-// chain from fully observed state traces.
-func EstimateChainFromTraces(traces [][]string) (*MarkovChain, error) {
-	return hmm.EstimateChain(traces)
-}
-
-// MarkovChain is a discrete-time Markov chain (re-exported for trace
-// estimation results and custom flows).
-type MarkovChain = markovChain
-
-// Parameter studies.
-type (
-	// Series is one named curve of a parameter sweep.
-	Series = sensitivity.Series
-	// SweepPoint is one sample of a series.
-	SweepPoint = sensitivity.Point
-)
-
-// Sweep evaluates f over xs into a named series.
-func Sweep(name string, xs []float64, f func(x float64) (float64, error)) (Series, error) {
-	return sensitivity.Sweep(name, xs, f)
-}
-
-// SweepParallel evaluates f over xs (points in xs order in the result)
-// with per-point panic isolation. For parallel throughput, sweep a
-// compiled service through SweepBatch + CompiledBatch instead: the batch
-// kernel owns the worker pool.
-func SweepParallel(name string, xs []float64, f func(x float64) (float64, error)) (Series, error) {
-	return sensitivity.SweepParallel(name, xs, f)
-}
-
-// SweepParallelCtx is SweepParallel honoring cancellation (the sweep stops
-// at the next point boundary with ErrCanceled) and isolating panics (a
-// panicking point fails with ErrPanic without killing its siblings).
-func SweepParallelCtx(ctx context.Context, name string, xs []float64, f func(x float64) (float64, error)) (Series, error) {
-	return sensitivity.SweepParallelCtx(ctx, name, xs, f)
-}
-
-// BatchFunc evaluates a whole sweep grid in one call; CompiledBatch builds
-// one from a compiled service so sweeps run through the batch kernel.
-type BatchFunc = sensitivity.BatchFunc
-
-// SweepBatch evaluates the whole grid through one BatchFunc call.
-func SweepBatch(name string, xs []float64, bf BatchFunc) (Series, error) {
+// SweepBatch evaluates a whole sweep grid through one batch call.
+func SweepBatch(name string, xs []float64, bf sensitivity.BatchFunc) (sensitivity.Series, error) {
 	return sensitivity.SweepBatch(name, xs, bf)
 }
 
-// SweepBatchCtx is SweepBatch honoring cancellation.
-func SweepBatchCtx(ctx context.Context, name string, xs []float64, bf BatchFunc) (Series, error) {
-	return sensitivity.SweepBatchCtx(ctx, name, xs, bf)
-}
-
-// CompiledBatch adapts a compiled service to a BatchFunc sweeping Pfail:
-// frame maps the swept scalar to the service's actual parameters. The
-// grid is evaluated by one PfailBatch call (closed-form chunks for a
+// CompiledBatch adapts a compiled service to a batch function sweeping
+// Pfail: frame maps the swept scalar to the service's actual parameters.
+// The grid is evaluated by one PfailBatch call (closed-form chunks for a
 // parametric compile, the numeric kernel otherwise).
-func CompiledBatch(ca *CompiledAssembly, service string, frame func(x float64) []float64) BatchFunc {
+func CompiledBatch(ca *core.CompiledAssembly, service string, frame func(x float64) []float64) sensitivity.BatchFunc {
 	return sensitivity.CompiledBatch(ca, service, frame)
-}
-
-// CompiledReliabilityBatch is CompiledBatch sweeping reliability (1-Pfail).
-func CompiledReliabilityBatch(ca *CompiledAssembly, service string, frame func(x float64) []float64) BatchFunc {
-	return sensitivity.CompiledReliabilityBatch(ca, service, frame)
 }
 
 // Crossover locates where f - g changes sign within [lo, hi] by bisection.
@@ -499,3 +249,58 @@ func Crossover(f, g func(x float64) (float64, error), lo, hi, tol float64) (floa
 func PowersOfTwo(loExp, hiExp int) ([]float64, error) {
 	return sensitivity.PowersOfTwo(loExp, hiExp)
 }
+
+// Monte Carlo validation.
+type (
+	// Simulator is the fault-injection simulator.
+	Simulator = sim.Simulator
+	// SimOptions configures a Simulator.
+	SimOptions = sim.Options
+)
+
+// NewSimulator returns a simulator over the resolver.
+func NewSimulator(resolver model.Resolver, opts SimOptions) *Simulator {
+	return sim.New(resolver, opts)
+}
+
+// Candidate is one provider/connector option for a role.
+type Candidate = registry.Candidate
+
+// NewRegistry returns an empty publish/discover service registry.
+func NewRegistry() *registry.Registry { return registry.New() }
+
+// SelectBinding picks the candidate binding maximizing the predicted
+// reliability of the target invocation.
+func SelectBinding(asm *Assembly, caller, role string, candidates []Candidate, opts Options, target string, params ...float64) (registry.Selection, error) {
+	return registry.SelectBinding(asm, caller, role, candidates, opts, target, params...)
+}
+
+// Usage-profile estimation.
+
+// NewMarkovChain returns an empty discrete-time Markov chain.
+func NewMarkovChain() *markov.Chain { return markov.New() }
+
+// EstimateChainFromTraces computes the maximum-likelihood usage-profile
+// chain from fully observed state traces.
+func EstimateChainFromTraces(traces [][]string) (*markov.Chain, error) {
+	return hmm.EstimateChain(traces)
+}
+
+// Variants and the model store.
+//
+//	q := socrel.NewQuery(doc)
+//	vdoc, err := q.Variant("local").Named("swapped").
+//	    Rebind(q.Service("search").Role("sort"), socrel.BindTo(q.Service("sort2"))).
+//	    BuildDocument()
+//	rec, err := st.Publish("acme", "search-swapped", vdoc, socrel.PublishOptions{})
+
+// PublishOptions tunes one model-store Publish call (CAS via
+// ExpectedLatest).
+type PublishOptions = store.PublishOptions
+
+// NewQuery wraps an ADL document in the typed query layer.
+func NewQuery(doc *adl.Document) *query.Query { return query.From(doc) }
+
+// BindTo binds a role directly to a provider (perfect connection);
+// chain .Via(connector) to route through a connector.
+func BindTo(provider query.ServiceRef) query.BindingSpec { return query.To(provider) }

@@ -1,13 +1,20 @@
 package socrel_test
 
-// Tests of the public facade: everything a downstream user would touch is
-// reachable through the root package alone.
+// Tests of the paper's workflow through the public facade. Steps the
+// facade does not export (the ADL codecs, the performance profile,
+// state combination, the fixed-point policy) are driven through their
+// internal packages.
 
 import (
 	"math"
 	"testing"
 
 	"socrel"
+	"socrel/internal/adl"
+	"socrel/internal/core"
+	"socrel/internal/model"
+	"socrel/internal/perf"
+	"socrel/internal/sensitivity"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -148,15 +155,15 @@ assembly main {
     bind app.cpu1 -> cpu1
 }
 `
-	doc, err := socrel.ParseADL(src)
+	doc, err := adl.ParseDSL(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := socrel.MarshalADLJSON(doc)
+	data, err := adl.MarshalJSON(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc2, err := socrel.UnmarshalADLJSON(data)
+	doc2, err := adl.UnmarshalJSON(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +187,7 @@ func TestFacadePerfProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := socrel.NewPerfProfile(asm)
+	prof := perf.New(asm)
 	if err := prof.UseCanonicalCosts(asm.ServiceNames()); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +262,7 @@ func TestFacadeSweepAndCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := socrel.Sweep("id", xs, func(x float64) (float64, error) { return x, nil })
+	s, err := sensitivity.Sweep("id", xs, func(x float64) (float64, error) { return x, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +282,7 @@ func TestFacadeSweepAndCrossover(t *testing.T) {
 }
 
 func TestFacadeCombineState(t *testing.T) {
-	f, err := socrel.CombineState(socrel.OR, socrel.Sharing, 0, []socrel.RequestFailure{
+	f, err := model.CombineState(socrel.OR, socrel.Sharing, 0, []model.RequestFailure{
 		{Int: 0.1, Ext: 0.2}, {Int: 0.1, Ext: 0.2},
 	})
 	if err != nil {
@@ -315,7 +322,7 @@ func TestFacadeFixedPoint(t *testing.T) {
 		}
 	}
 	asm.MustAddService(c)
-	ev := socrel.NewEvaluator(asm, socrel.Options{Cycles: socrel.CycleFixedPoint})
+	ev := socrel.NewEvaluator(asm, socrel.Options{Cycles: core.CycleFixedPoint})
 	got, err := ev.Pfail("a")
 	if err != nil {
 		t.Fatal(err)
