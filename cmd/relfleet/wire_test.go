@@ -137,19 +137,20 @@ func TestWireFormatKeys(t *testing.T) {
 
 	// A solver that stopped short answers Unavailable. The Bounded kind
 	// and its lo and hi keys are gone: the residual certified no bound.
+	// An unavailable answer has no value, so no pfail or reliability.
 	eval.setFail(&linalg.NoConvergenceError{Iterations: 10, Residual: 0.05})
 	resp, m = postPredict(t, ts.URL, `{"params":[1,4096,1]}`)
 	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
 		t.Fatalf("no convergence: %d %v", resp.StatusCode, m)
 	}
-	wantKeys(t, "no-convergence answer", m, append(answer, "lo", "hi", "error"), nil, "lo", "hi")
+	wantKeys(t, "no-convergence answer", m, append(answer, "lo", "hi", "error"), nil, "lo", "hi", "pfail", "reliability")
 
 	eval.setFail(errors.New("backend down"))
 	resp, m = postPredict(t, ts.URL, `{"params":[1,4096,1]}`)
 	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
 		t.Fatalf("unavailable: %d %v", resp.StatusCode, m)
 	}
-	wantKeys(t, "unavailable answer", m, append(answer, "error"), nil)
+	wantKeys(t, "unavailable answer", m, append(answer, "error"), nil, "pfail", "reliability")
 
 	resp, m = postPredict(t, ts.URL, `{"priority":"urgent"}`)
 	if resp.StatusCode != http.StatusBadRequest {

@@ -92,6 +92,7 @@ func TestWireFormatKeys(t *testing.T) {
 
 	// A solver that stopped short answers Unavailable. The Bounded kind
 	// and its lo and hi keys are gone: the residual certified no bound.
+	// An unavailable answer has no value, so no pfail or reliability.
 	eval.set(func(context.Context, string, ...float64) (float64, error) {
 		return 0, &linalg.NoConvergenceError{Iterations: 10, Residual: 0.05}
 	})
@@ -99,7 +100,7 @@ func TestWireFormatKeys(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
 		t.Fatalf("no convergence: %d %v", resp.StatusCode, m)
 	}
-	wantKeys(t, "no-convergence answer", m, append(answer, "lo", "hi", "error"), nil, "lo", "hi")
+	wantKeys(t, "no-convergence answer", m, append(answer, "lo", "hi", "error"), nil, "lo", "hi", "pfail", "reliability")
 
 	resp, m = doReq(t, "POST", ts.URL+"/predict?model=acme/none", `{"params":[2]}`)
 	if resp.StatusCode != http.StatusNotFound {
@@ -112,7 +113,7 @@ func TestWireFormatKeys(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || m["kind"] != "unavailable" {
 		t.Fatalf("unavailable: %d %v", resp.StatusCode, m)
 	}
-	wantKeys(t, "unavailable answer", m, append(answer, "error"), nil)
+	wantKeys(t, "unavailable answer", m, append(answer, "error"), nil, "pfail", "reliability")
 
 	// Stale: a closed-form server sheds a request after its scope's
 	// first exact answer (an hour-long service-time estimate sheds any

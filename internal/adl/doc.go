@@ -75,11 +75,30 @@ import (
 
 // Document is the parsed content of an ADL source: service definitions and
 // named assemblies over them.
+//
+// Service definitions are immutable once parsed: Parse, ParseDSL and
+// UnmarshalJSON validate every service they build, and BuildAssembly does
+// not validate those again. A service put into Services by other code is
+// validated by BuildAssembly.
 type Document struct {
 	// Services holds the definitions in declaration order.
 	Services []model.Service
 	// Assemblies holds the binding sets in declaration order.
 	Assemblies []AssemblyDef
+
+	// parsed is a copy of Services as the parser validated them.
+	parsed []model.Service
+}
+
+// markParsed records that the parser has validated every service.
+func (d *Document) markParsed() {
+	d.parsed = append([]model.Service(nil), d.Services...)
+}
+
+// wasParsed reports whether Services[i] is the service the parser
+// validated at that index.
+func (d *Document) wasParsed(i int) bool {
+	return i < len(d.parsed) && d.parsed[i] == d.Services[i]
 }
 
 // AssemblyDef is a named set of bindings.
@@ -104,7 +123,8 @@ func (d *Document) Service(name string) (model.Service, bool) {
 // name), plus the assembly's bindings, validated. Services of the document
 // that only belong to other assemblies (e.g. the RPC connector in the
 // paper's local assembly) are excluded. An empty name selects the
-// document's sole assembly (see AssemblyName).
+// document's sole assembly (see AssemblyName). The assembly passes
+// assembly.Validate, and Compile need not validate its services again.
 func (d *Document) BuildAssembly(name string) (*assembly.Assembly, error) {
 	name, err := d.AssemblyName(name)
 	if err != nil {
@@ -160,10 +180,20 @@ func (d *Document) BuildAssembly(name string) (*assembly.Assembly, error) {
 			return nil, fmt.Errorf("adl: %w", err)
 		}
 	}
+	// The checks of asm.Validate, with each service validated only if the
+	// parser has not done so.
+	for i, svc := range d.Services {
+		if !needed[svc.Name()] || d.wasParsed(i) {
+			continue
+		}
+		if err := svc.Validate(); err != nil {
+			return nil, fmt.Errorf("adl: assembly %s: %w", name, err)
+		}
+	}
 	for _, b := range def.Bindings {
 		asm.AddBinding(b.Caller, b.Role, b.Provider, b.Connector)
 	}
-	if err := asm.Validate(); err != nil {
+	if err := asm.ValidateBindings(); err != nil {
 		return nil, fmt.Errorf("adl: %w", err)
 	}
 	return asm, nil

@@ -63,6 +63,7 @@ func ParseDSL(source string) (*Document, error) {
 			return nil, fmt.Errorf("adl: %w", err)
 		}
 	}
+	doc.markParsed()
 	return doc, nil
 }
 

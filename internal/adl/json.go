@@ -85,11 +85,17 @@ func MarshalJSON(d *Document) ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// UnmarshalJSON parses a document serialized by MarshalJSON.
+// UnmarshalJSON parses a document serialized by MarshalJSON. Input in
+// MarshalJSON's own output language, such as a stored record, is decoded
+// in one pass (decodeCanonical); anything else goes through
+// encoding/json, which gives the same document or the error.
 func UnmarshalJSON(data []byte) (*Document, error) {
 	var in documentJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("adl: %w", err)
+	if !decodeCanonical(data, &in) {
+		in = documentJSON{}
+		if err := json.Unmarshal(data, &in); err != nil {
+			return nil, fmt.Errorf("adl: %w", err)
+		}
 	}
 	doc := &Document{}
 	for _, sj := range in.Services {
@@ -109,6 +115,7 @@ func UnmarshalJSON(data []byte) (*Document, error) {
 		}
 		doc.Assemblies = append(doc.Assemblies, def)
 	}
+	doc.markParsed()
 	return doc, nil
 }
 

@@ -142,6 +142,14 @@ func (a *Assembly) Validate() error {
 			return fmt.Errorf("assembly %s: %w", a.name, err)
 		}
 	}
+	return a.ValidateBindings()
+}
+
+// ValidateBindings makes Validate's checks except the validation of each
+// service definition, for a caller that has validated the definitions
+// already: every binding references known services, and every role
+// requested by a registered composite resolves.
+func (a *Assembly) ValidateBindings() error {
 	for _, b := range a.bindings {
 		if _, ok := a.services[b.Caller]; !ok {
 			return fmt.Errorf("assembly %s: binding %s/%s: %w: caller %q", a.name, b.Caller, b.Role, model.ErrUnknownService, b.Caller)

@@ -102,6 +102,9 @@ type compiler struct {
 	status   map[string]int // 0 unseen, 1 in progress, 2 done
 	maxStack int
 	maxArity int
+	// validated reports that every service the resolver returns has been
+	// validated already (an assembly from adl's BuildAssembly).
+	validated bool
 }
 
 // Compile walks the assembly reachable from the given root services and
@@ -110,8 +113,16 @@ type compiler struct {
 // are rejected here instead of at evaluation time), and every composite
 // gets a reusable chain skeleton. Compile rejects recursive assemblies,
 // the CycleFixedPoint policy, and the iterative solver with
-// ErrNotCompilable; use the interpreted Evaluator for those.
-func Compile(resolver model.Resolver, opts Options, roots ...string) (ca *CompiledAssembly, err error) {
+// ErrNotCompilable; use the interpreted Evaluator for those. Every service
+// is validated first, and a composite that fails validation is rejected
+// with ErrDefectiveFlow.
+func Compile(resolver model.Resolver, opts Options, roots ...string) (*CompiledAssembly, error) {
+	return compile(resolver, opts, false, roots)
+}
+
+// compile is Compile; validated skips the validation of each service, for
+// a resolver whose services have all been validated.
+func compile(resolver model.Resolver, opts Options, validated bool, roots []string) (ca *CompiledAssembly, err error) {
 	// Compilation const-folds expressions (including builtin calls), so a
 	// defective failure law can panic here instead of at evaluation time;
 	// isolate it the same way.
@@ -137,7 +148,8 @@ func Compile(resolver model.Resolver, opts Options, roots ...string) (ca *Compil
 			opts:   opts,
 			byName: make(map[string]int),
 		},
-		status: make(map[string]int),
+		status:    make(map[string]int),
+		validated: validated,
 	}
 	for _, root := range roots {
 		svc, err := resolver.ServiceByName(root)
@@ -167,13 +179,7 @@ func (c *compiler) compileService(svc model.Service) (int, error) {
 	c.status[name] = 1
 	defer func() { c.status[name] = 2 }()
 
-	if err := svc.Validate(); err != nil {
-		if _, isComposite := svc.(*model.Composite); isComposite {
-			// A composite fails validation for structural flow defects
-			// (bad constant probabilities or row sums, duplicate edges,
-			// reserved states); surface them under the taxonomy.
-			return 0, fmt.Errorf("%w: %w", ErrDefectiveFlow, err)
-		}
+	if err := c.validate(svc); err != nil {
 		return 0, err
 	}
 	formals := svc.FormalParams()
@@ -211,18 +217,35 @@ func (c *compiler) compileService(svc model.Service) (int, error) {
 	return idx, nil
 }
 
+// validate checks svc unless the resolver's services are known valid.
+func (c *compiler) validate(svc model.Service) error {
+	if c.validated {
+		return nil
+	}
+	err := svc.Validate()
+	if _, isComposite := svc.(*model.Composite); isComposite && err != nil {
+		// A composite fails validation for structural flow defects (bad
+		// constant probabilities or row sums, duplicate edges, reserved
+		// states); surface them under the taxonomy.
+		return fmt.Errorf("%w: %w", ErrDefectiveFlow, err)
+	}
+	return err
+}
+
 // compileExpr compiles e to a slot program and also returns the folded
 // symbolic form the program was emitted from (attributes bound in, slots
-// left free), which the parametric compiler substitutes into.
+// left free), which the parametric compiler substitutes into. e is folded
+// once, and the program shares the folded tree.
 func (c *compiler) compileExpr(e expr.Expr, formals []string, attrs model.Attrs) (*expr.Program, expr.Expr, error) {
-	prog, err := expr.CompileProgram(e, formals, attrs)
+	folded := expr.Fold(e, formals, attrs)
+	prog, err := expr.CompileFolded(folded, formals)
 	if err != nil {
 		return nil, nil, err
 	}
 	if prog.MaxStack() > c.maxStack {
 		c.maxStack = prog.MaxStack()
 	}
-	return prog, expr.Fold(e, formals, attrs), nil
+	return prog, folded, nil
 }
 
 // compileComposite builds the chain skeleton and per-state request plans
@@ -275,9 +298,10 @@ func (c *compiler) compileComposite(svc *model.Composite) (*compiledComposite, e
 	// Working states in flow order, with bindings resolved up front.
 	// Compile-time flow validation (constant transition probabilities in
 	// [0,1], constant outgoing sums of one, duplicate edges) has already
-	// run: compileService validates every service before this point,
-	// whereas the interpreted engine never validates and only surfaces
-	// such defects as ErrBadTransition mid-evaluation.
+	// run: compileService validates every service before this point (for
+	// CompileDocument, BuildAssembly has), whereas the interpreted engine
+	// never validates and only surfaces such defects as ErrBadTransition
+	// mid-evaluation.
 	for _, st := range flow.States() {
 		if st.Name == model.StartState || isEndName(st.Name) {
 			continue

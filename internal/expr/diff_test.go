@@ -246,3 +246,22 @@ func TestDiffStringParseable(t *testing.T) {
 		}
 	}
 }
+
+// TestBindIsSimplified: Bind already simplifies, so a second Simplify
+// finds nothing left to fold; a caller that needs the bound constant
+// (Composite.Validate's static probability checks) needs no outer call.
+func TestBindIsSimplified(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		e := randomExpr(rng, 5)
+		env := Env{"x": rng.Float64()*3 + 0.2}
+		if i%2 == 0 {
+			env["y"] = rng.Float64()*3 + 0.2
+			env["z"] = rng.Float64()*3 + 0.2
+		}
+		bound := Bind(e, env)
+		if again := Simplify(bound); again.String() != bound.String() {
+			t.Fatalf("Simplify(Bind(%s)) = %s, Bind gave %s", e, again, bound)
+		}
+	}
+}

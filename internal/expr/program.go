@@ -24,7 +24,7 @@ import (
 // A Program is immutable after compilation and safe for concurrent use;
 // per-evaluation state lives entirely in the caller-provided stack.
 type Program struct {
-	src       string
+	src       Expr // the folded tree, rendered by String on demand
 	code      []instr
 	consts    []float64
 	calls     []compiledCall
@@ -67,13 +67,20 @@ type compiledCall struct {
 // compile time with the same operation order the interpreter would use, so
 // compiled and interpreted evaluation agree bitwise.
 func CompileProgram(e Expr, slotNames []string, consts Env) (*Program, error) {
+	return CompileFolded(Fold(e, slotNames, consts), slotNames)
+}
+
+// CompileFolded compiles an expression that Fold has already folded
+// against slotNames, for a caller that keeps the folded form itself: the
+// program refers to folded, not to a copy, and renders it only when
+// String is called.
+func CompileFolded(folded Expr, slotNames []string) (*Program, error) {
 	slots := make(map[string]int, len(slotNames))
 	for i, n := range slotNames {
 		slots[n] = i
 	}
-	e = Fold(e, slotNames, consts)
-	e = internExpr(e)
-	p := &Program{src: renderSrc(e), numSlots: len(slotNames)}
+	e := internExpr(folded)
+	p := &Program{src: folded, numSlots: len(slotNames)}
 	em := &emitter{
 		p:        p,
 		slots:    slots,
@@ -381,8 +388,8 @@ func (p *Program) Const() (float64, bool) {
 
 // String returns the (folded) source form of the compiled expression, or a
 // placeholder when the tree expansion of the compiled DAG is too large to
-// render.
-func (p *Program) String() string { return p.src }
+// render. It renders the tree on every call.
+func (p *Program) String() string { return renderSrc(p.src) }
 
 // LaneCallScratch is the number of extra entries EvalLane requires at the
 // tail of its stack, used as gather scratch for builtin-call arguments.
@@ -449,7 +456,7 @@ func (p *Program) EvalLane(slots []float64, lanes int, out, stack []float64) err
 			src := stack[sp*lanes : (sp+1)*lanes]
 			for k := range dst {
 				if src[k] == 0 {
-					return fmt.Errorf("%w: in %s", ErrDivisionByZero, p.src)
+					return fmt.Errorf("%w: in %s", ErrDivisionByZero, p)
 				}
 				dst[k] /= src[k]
 			}
@@ -528,7 +535,7 @@ func (p *Program) Eval(slots, stack []float64) (float64, error) {
 		case opDiv:
 			sp--
 			if stack[sp] == 0 {
-				return 0, fmt.Errorf("%w: in %s", ErrDivisionByZero, p.src)
+				return 0, fmt.Errorf("%w: in %s", ErrDivisionByZero, p)
 			}
 			stack[sp-1] /= stack[sp]
 		case opPow:

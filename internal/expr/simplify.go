@@ -157,14 +157,18 @@ func simplifyNode(e Expr, memo map[Expr]Expr) Expr {
 
 	case *CallExpr:
 		args := make([]Expr, len(n.Args))
-		allConst := true
+		allConst, same := true, true
 		for i, a := range n.Args {
 			args[i] = simplifyMemo(a, memo)
 			if _, ok := args[i].(Num); !ok {
 				allConst = false
 			}
+			same = same && args[i] == a
 		}
-		out := &CallExpr{Name: n.Name, Args: args}
+		out := n // unchanged, so a simplified tree shares it
+		if !same {
+			out = &CallExpr{Name: n.Name, Args: args}
+		}
 		if allConst {
 			if v, err := out.Eval(nil); err == nil && !math.IsNaN(v) {
 				return Num(v)

@@ -112,21 +112,23 @@ func ParsePriority(s string) (server.Priority, error) {
 }
 
 // PredictResponse is the wire form of one answer. Kind is always set;
-// Error is present exactly when the answer is degraded.
+// Error is present exactly when the answer is degraded. Pfail and
+// Reliability are present exactly when the answer has a value (exact or
+// stale): an unavailable answer has none, and must not read as Pfail 0.
 type PredictResponse struct {
-	Kind        string  `json:"kind"`
-	Pfail       float64 `json:"pfail"`
-	Reliability float64 `json:"reliability"`
-	AgeMS       int64   `json:"age_ms,omitempty"`
-	Error       string  `json:"error,omitempty"`
+	Kind        string   `json:"kind"`
+	Pfail       *float64 `json:"pfail,omitempty"`
+	Reliability *float64 `json:"reliability,omitempty"`
+	AgeMS       int64    `json:"age_ms,omitempty"`
+	Error       string   `json:"error,omitempty"`
 }
 
 // ToResponse converts an answer to its wire form.
 func ToResponse(a socruntime.Answer) PredictResponse {
-	r := PredictResponse{
-		Kind:        a.Kind.String(),
-		Pfail:       a.Pfail,
-		Reliability: a.Reliability(),
+	r := PredictResponse{Kind: a.Kind.String()}
+	if a.Kind != socruntime.Unavailable {
+		pfail, reliability := a.Pfail, a.Reliability()
+		r.Pfail, r.Reliability = &pfail, &reliability
 	}
 	if a.Age > 0 {
 		r.AgeMS = a.Age.Milliseconds()

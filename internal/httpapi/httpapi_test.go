@@ -17,8 +17,12 @@ import (
 	"socrel/internal/server"
 )
 
+func ptr(v float64) *float64 { return &v }
+
 // TestAnswerWire: each answer kind maps to its status, its Retry-After
-// header and its wire body.
+// header and its wire body. An unavailable answer carries no pfail and no
+// reliability: it has no value, and a client that read reliability
+// without kind would see a failure as certain success.
 func TestAnswerWire(t *testing.T) {
 	boom := errors.New("backend exploded")
 	noConv := &linalg.NoConvergenceError{Iterations: 10, Residual: 0.05}
@@ -33,46 +37,46 @@ func TestAnswerWire(t *testing.T) {
 			name:   "exact",
 			ans:    socruntime.Answer{Kind: socruntime.Exact, Pfail: 0.25},
 			status: http.StatusOK,
-			body:   PredictResponse{Kind: "exact", Pfail: 0.25, Reliability: 0.75},
+			body:   PredictResponse{Kind: "exact", Pfail: ptr(0.25), Reliability: ptr(0.75)},
 		},
 		{
 			name:   "stale carries age_ms",
 			ans:    socruntime.Answer{Kind: socruntime.Stale, Pfail: 0.5, Age: 1500 * time.Millisecond, Err: boom},
 			status: http.StatusOK,
-			body:   PredictResponse{Kind: "stale", Pfail: 0.5, Reliability: 0.5, AgeMS: 1500, Error: boom.Error()},
+			body:   PredictResponse{Kind: "stale", Pfail: ptr(0.5), Reliability: ptr(0.5), AgeMS: 1500, Error: boom.Error()},
 		},
 		{
 			name:       "overloaded",
 			ans:        socruntime.Answer{Kind: socruntime.Unavailable, Err: server.ErrQueueFull},
 			status:     http.StatusServiceUnavailable,
 			retryAfter: true,
-			body:       PredictResponse{Kind: "unavailable", Reliability: 1, Error: server.ErrQueueFull.Error()},
+			body:       PredictResponse{Kind: "unavailable", Error: server.ErrQueueFull.Error()},
 		},
 		{
 			name:       "draining",
 			ans:        socruntime.Answer{Kind: socruntime.Unavailable, Err: server.ErrDraining},
 			status:     http.StatusServiceUnavailable,
 			retryAfter: true,
-			body:       PredictResponse{Kind: "unavailable", Reliability: 1, Error: server.ErrDraining.Error()},
+			body:       PredictResponse{Kind: "unavailable", Error: server.ErrDraining.Error()},
 		},
 		{
 			name:       "stopped replica",
 			ans:        socruntime.Answer{Kind: socruntime.Unavailable, Err: fmt.Errorf("forward: %w", cluster.ErrStopped)},
 			status:     http.StatusServiceUnavailable,
 			retryAfter: true,
-			body:       PredictResponse{Kind: "unavailable", Reliability: 1, Error: "forward: " + cluster.ErrStopped.Error()},
+			body:       PredictResponse{Kind: "unavailable", Error: "forward: " + cluster.ErrStopped.Error()},
 		},
 		{
 			name:   "no convergence is unavailable",
 			ans:    socruntime.Answer{Kind: socruntime.Unavailable, Err: noConv},
 			status: http.StatusInternalServerError,
-			body:   PredictResponse{Kind: "unavailable", Reliability: 1, Error: noConv.Error()},
+			body:   PredictResponse{Kind: "unavailable", Error: noConv.Error()},
 		},
 		{
 			name:   "other failure",
 			ans:    socruntime.Answer{Kind: socruntime.Unavailable, Err: boom},
 			status: http.StatusInternalServerError,
-			body:   PredictResponse{Kind: "unavailable", Reliability: 1, Error: boom.Error()},
+			body:   PredictResponse{Kind: "unavailable", Error: boom.Error()},
 		},
 	}
 	for _, tc := range cases {

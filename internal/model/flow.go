@@ -240,7 +240,7 @@ func (c *Composite) Validate() error {
 		}
 		// Constant probabilities can be checked statically; expressions
 		// over formal parameters are checked at evaluation time.
-		if n, ok := expr.Simplify(expr.Bind(tr.Prob, c.attrs)).(expr.Num); ok {
+		if n, ok := expr.Bind(tr.Prob, c.attrs).(expr.Num); ok { // Bind simplifies
 			v := float64(n)
 			if v < -1e-12 || v > 1+1e-12 {
 				return fmt.Errorf("%w: %s: P(%s -> %s) = %g", ErrInvalidService, c.name, tr.From, tr.To, v)

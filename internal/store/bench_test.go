@@ -103,3 +103,26 @@ func BenchmarkPublish(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDiskGet reads the paper model's record back from a Disk store
+// by pinned version: read the version file, decode the record and its
+// document, canonicalize, and check the hash. An ArtifactCache hit on a
+// disk store pays this on every Load.
+func BenchmarkDiskGet(b *testing.B) {
+	both, _ := paperDocs(b)
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := st.Publish("t", "m", both, PublishOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Get(rec.Ref); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

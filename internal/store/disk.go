@@ -108,18 +108,14 @@ func readRecordFile(path string) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: %s: %w", ErrCorrupt, path, err)
 	}
-	hash, err := adl.Hash(doc)
+	// Source is the canonical bytes that were hashed, whatever the
+	// indentation the enclosing record file applied.
+	source, hash, err := canonicalize(doc)
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: %s: %w", ErrCorrupt, path, err)
 	}
 	if hash != rj.Hash {
 		return Record{}, fmt.Errorf("%w: %s: content hash %s does not match recorded %s", ErrCorrupt, path, hash, rj.Hash)
-	}
-	// Re-serialize the parsed document so Source is the canonical bytes
-	// regardless of the indentation the enclosing record file applied.
-	source, err := adl.MarshalJSON(doc)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: %s: %w", ErrCorrupt, path, err)
 	}
 	return Record{
 		Ref:       Ref{Tenant: rj.Tenant, Model: rj.Model, Version: rj.Version},
