@@ -10,6 +10,7 @@ package socrel
 // their output doubles as a wall-clock budget for cmd/experiments.
 
 import (
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -239,8 +240,8 @@ func compiledPaperPair(b *testing.B) [2]*core.CompiledAssembly {
 }
 
 // BenchmarkCompiledSerial times one compiled evaluation per iteration with
-// a distinct parameter set each time (so the memo never short-circuits);
-// ns/op is directly comparable to the seed's per-point Figure 6 cost.
+// a distinct parameter set each time; ns/op is directly comparable to the
+// seed's per-point Figure 6 cost.
 func BenchmarkCompiledSerial(b *testing.B) {
 	cas := compiledPaperPair(b)
 	b.ReportAllocs()
@@ -250,6 +251,31 @@ func BenchmarkCompiledSerial(b *testing.B) {
 		if _, err := ca.Pfail("search", 1, float64(16+i), 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCompiledSharedDAG times one compiled evaluation of the layered
+// synthetic assembly, where each level invokes the one below 40 times
+// with the same parameter. Sharing within the evaluation solves each of
+// the depth composites once; without it the work grows as 40^depth.
+func BenchmarkCompiledSharedDAG(b *testing.B) {
+	for _, depth := range []int{4, 8} {
+		asm, root, err := experiments.SyntheticAssembly(depth, 2, 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ca, err := core.Compile(asm, core.Options{}, root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("depth"+strconv.Itoa(depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ca.Pfail(root, float64(16+i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -278,8 +304,8 @@ func BenchmarkCompiledBatch(b *testing.B) {
 
 // benchFigure6Batch times PfailBatch on the remote assembly's search
 // service over the 17 Figure 6 list sizes. The parameter sets are built
-// once and perturbed in place each iteration, so no point is ever
-// memoized and allocs/op counts the kernel's allocations only.
+// once and perturbed in place each iteration, so allocs/op counts the
+// kernel's allocations only.
 func benchFigure6Batch(b *testing.B, ca *core.CompiledAssembly) {
 	sets := make([][]float64, 17)
 	for j := range sets {
@@ -377,8 +403,8 @@ func BenchmarkParametricSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkParametricBatch is BenchmarkCompiledBatch (the memo-defeated
-// Figure 6 grid) through a parametric compile; its ns/point against
+// BenchmarkParametricBatch is BenchmarkCompiledBatch (the Figure 6 grid,
+// perturbed every iteration) through a parametric compile; its ns/point against
 // BenchmarkCompiledBatch's is the headline parametric speedup recorded
 // in BENCH_core.json.
 func BenchmarkParametricBatch(b *testing.B) {

@@ -124,7 +124,7 @@ func run(args []string, out io.Writer) error {
 	dotOut := fs.String("dot", "", "emit Graphviz DOT instead of a prediction: 'flow', 'failures', or 'assembly'")
 	sweep := fs.String("sweep", "", "sweep one formal parameter: 'name=lo:hi:n' (geometric grid); the -params value for that position is ignored")
 	timeout := fs.Duration("timeout", 0, "evaluation deadline (e.g. 500ms); expired runs fail with the typed error class (0 = none)")
-	stats := fs.Bool("stats", false, "print compiled-engine memo statistics (hits/misses/resets/entries) after the evaluation")
+	stats := fs.Bool("stats", false, "print compiled-engine counters after the evaluation: memo hits/misses count composite invocations that reused an identical earlier one within the same evaluation, or were solved; sharing is per evaluation, never across evaluations")
 	explain := fs.Bool("explain", false, "print the closed-form Pfail expression of the service (paper eqs. (15)-(22)) instead of a prediction")
 	grad := fs.Bool("grad", false, "with -explain, also print the closed-form partial derivative per formal parameter")
 	observe := fs.String("observe", "", "replay an outcomes JSONL file ('-' = stdin) through the failure-parameter estimator and print fitted rates")
@@ -259,16 +259,16 @@ func run(args []string, out io.Writer) error {
 	return err
 }
 
-// printMemoStats renders the compiled engine's memo counters, letting
-// scripts confirm a sweep was served from cache (or not), plus the
-// parametric counters showing how many points the closed form answered.
+// printMemoStats renders the compiled engine's sharing counters (how many
+// composite invocations each evaluation answered from an earlier identical
+// one rather than by a solve), plus the parametric counters showing how
+// many points the closed form answered.
 func printMemoStats(out io.Writer, ca *core.CompiledAssembly, enabled bool) {
 	if !enabled || ca == nil {
 		return
 	}
 	ms := ca.MemoStats()
-	fmt.Fprintf(out, "memo: hits=%d misses=%d resets=%d entries=%d\n",
-		ms.Hits, ms.Misses, ms.Resets, ms.Entries)
+	fmt.Fprintf(out, "memo: hits=%d misses=%d\n", ms.Hits, ms.Misses)
 	ps := ca.ParametricStats()
 	fmt.Fprintf(out, "parametric: outputs=%d fallbacks=%d points=%d numeric=%d gradients=%d\n",
 		ps.Outputs, ps.Fallbacks, ps.ParametricPoints, ps.NumericPoints, ps.GradientPoints)

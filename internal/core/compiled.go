@@ -1,13 +1,14 @@
 // Execute phase of the engine: an immutable CompiledAssembly evaluates
-// failure probabilities with per-goroutine session scratch (pooled) and a
-// sharded (service, params) memo, so any number of goroutines can issue
-// Pfail / PfailBatch calls concurrently against one compiled artifact.
+// failure probabilities with per-goroutine session scratch (pooled), so any
+// number of goroutines can issue Pfail / PfailBatch calls concurrently
+// against one compiled artifact. Within one evaluation a session shares
+// each (service, params) result, as the paper's Pfail_Alg does; nothing is
+// shared across evaluations.
 package core
 
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"runtime"
 	"sync"
@@ -18,17 +19,6 @@ import (
 	"socrel/internal/markov"
 	"socrel/internal/model"
 )
-
-// memoShardCount is the number of memo shards; a power of two so the
-// shard pick is a mask. 64 shards keep lock contention negligible at
-// typical core counts.
-const memoShardCount = 64
-
-// memoShardCap bounds each shard's entry count. A full shard is reset
-// wholesale, which bounds total memo memory under workloads that stream
-// millions of distinct parameter points while keeping the warm working
-// set of a typical sweep fully cached.
-const memoShardCap = 1 << 13
 
 // batchChunk is the number of consecutive points a PfailBatch worker
 // claims at a time. A closed-form root evaluates the whole chunk in one
@@ -48,34 +38,21 @@ const (
 	minWorkerPointsClosedForm = 256
 )
 
-// doorkeeperSlots sizes each shard's admission filter (1 KiB per shard).
-const doorkeeperSlots = 1 << 10
-
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[string]float64
-	// seen is a fingerprint doorkeeper (TinyLFU-style admission): a key
-	// is cached only on its second put, so a sweep streaming distinct
-	// parameter points never grows a cache nothing will hit again, while
-	// any point evaluated repeatedly is cached from its second visit on.
-	seen [doorkeeperSlots]uint8
-}
-
-// MemoStats is a point-in-time snapshot of the (service, params) memo's
-// effectiveness: how often evaluations were served from cache, how often
-// they fell through to a solve, and how many wholesale shard resets the
-// capacity bound forced (each reset silently discards a hot shard).
+// MemoStats counts how composite invocations were served within each
+// evaluation: from an earlier invocation of the same service with the same
+// parameters in that evaluation, or by solving its chain. Every
+// evaluation starts with nothing shared, so the counts describe sharing
+// inside one evaluation, never reuse across requests.
 type MemoStats struct {
-	Hits    uint64 // lookups served from the memo
-	Misses  uint64 // lookups that fell through to evaluation
-	Resets  uint64 // wholesale shard resets forced by the capacity bound
-	Entries int    // entries currently cached across all shards
+	Hits   uint64 // invocations answered by an earlier one in the same evaluation
+	Misses uint64 // invocations that solved their composite's chain
 }
 
 // CompiledAssembly is the immutable product of Compile: every binding
 // resolved, every expression a slot program, every composite a reusable
-// chain skeleton. It is safe for concurrent use; per-evaluation scratch
-// lives in pooled sessions and results are shared through the memo.
+// chain skeleton. It is safe for concurrent use; per-evaluation scratch,
+// including the table that shares results within one evaluation, lives in
+// pooled sessions.
 type CompiledAssembly struct {
 	opts     Options
 	services []*compiledService
@@ -83,12 +60,9 @@ type CompiledAssembly struct {
 	maxStack int
 	maxArity int
 
-	memoSeed   maphash.Seed
-	memo       [memoShardCount]memoShard
-	memoHits   atomic.Uint64
-	memoMisses atomic.Uint64
-	memoResets atomic.Uint64
-	pool       sync.Pool
+	shareHits   atomic.Uint64
+	shareMisses atomic.Uint64
+	pool        sync.Pool
 
 	// Parametric compilation artifacts (see parametric.go): closed-form
 	// Pfail programs per root output, compile-time fallback reasons, and
@@ -102,29 +76,14 @@ type CompiledAssembly struct {
 }
 
 func (ca *CompiledAssembly) init() {
-	ca.memoSeed = maphash.MakeSeed()
-	for i := range ca.memo {
-		ca.memo[i].m = make(map[string]float64)
-	}
 	ca.pool.New = func() any { return newSession(ca) }
 }
 
-// MemoStats returns a snapshot of the memo's hit/miss/reset counters and
-// current entry count. Safe for concurrent use; the counters are
-// monotonic over the assembly's lifetime.
+// MemoStats returns the within-evaluation sharing counters, summed over
+// every numeric evaluation the assembly has completed. Safe for
+// concurrent use; the counters are monotonic.
 func (ca *CompiledAssembly) MemoStats() MemoStats {
-	st := MemoStats{
-		Hits:   ca.memoHits.Load(),
-		Misses: ca.memoMisses.Load(),
-		Resets: ca.memoResets.Load(),
-	}
-	for i := range ca.memo {
-		sh := &ca.memo[i]
-		sh.mu.RLock()
-		st.Entries += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return st
+	return MemoStats{Hits: ca.shareHits.Load(), Misses: ca.shareMisses.Load()}
 }
 
 // Services returns the compiled service names in compilation order.
@@ -390,57 +349,24 @@ func (ca *CompiledAssembly) ReliabilityBatchCtx(ctx context.Context, service str
 	return ps, err
 }
 
-func (ca *CompiledAssembly) memoGet(key []byte) (float64, bool) {
-	sh := &ca.memo[maphash.Bytes(ca.memoSeed, key)&(memoShardCount-1)]
-	sh.mu.RLock()
-	v, ok := sh.m[string(key)]
-	sh.mu.RUnlock()
-	if ok {
-		ca.memoHits.Add(1)
-	} else {
-		ca.memoMisses.Add(1)
-	}
-	return v, ok
-}
-
-// memoPut records an evaluation result. The doorkeeper admits a key only
-// when an earlier put already left its fingerprint, so single-visit keys
-// cost one byte instead of a map entry; a fingerprint collision merely
-// admits a key one visit early. Callers may pass a reusable key buffer —
-// the bytes are only materialized into a string on actual insertion.
-func (ca *CompiledAssembly) memoPut(key []byte, v float64) {
-	h := maphash.Bytes(ca.memoSeed, key)
-	sh := &ca.memo[h&(memoShardCount-1)]
-	fp := uint8(h>>24) | 1
-	slot := (h >> 32) & (doorkeeperSlots - 1)
-	sh.mu.Lock()
-	if sh.seen[slot] != fp {
-		sh.seen[slot] = fp
-		sh.mu.Unlock()
-		return
-	}
-	if len(sh.m) >= memoShardCap {
-		// Reset wholesale, and small: refill is gated by the doorkeeper,
-		// and a pre-sized empty table would keep probes expensive.
-		sh.m = make(map[string]float64)
-		ca.memoResets.Add(1)
-	}
-	sh.m[string(key)] = v
-	sh.mu.Unlock()
-}
-
 // session is the per-goroutine scratch of one evaluation stream: the
 // parameter arena (a stack of actual-parameter frames for the invocation
-// chain), the expression stack, per-composite failure buffers, and the
-// shared linear-solve workspace. Composites cannot recurse (Compile
-// rejects cycles), so per-composite buffers are safe; the solve workspace
-// is shared because a composite only uses it after its recursion into
-// providers has fully completed.
+// chain), the expression stack, the sharing table, per-composite failure
+// buffers, and the shared linear-solve workspace. Composites cannot recurse
+// (Compile rejects cycles), so per-composite buffers are safe; the solve
+// workspace is shared because a composite only uses it after its recursion
+// into providers has fully completed.
 type session struct {
-	ca     *CompiledAssembly
-	arena  []float64
-	stack  []float64 // sized for a batchChunk-wide closed-form EvalLane
-	keyBuf []byte
+	ca    *CompiledAssembly
+	arena []float64
+	stack []float64 // sized for a batchChunk-wide closed-form EvalLane
+
+	// shared is the current evaluation's sharing table, per composite
+	// service: each entry is the service's parameter frame followed by its
+	// Pfail (stride arity+1). pfailTop empties it; the slices keep their
+	// capacity, so a warm session shares without allocating.
+	shared       [][]float64
+	hits, misses uint64
 
 	stateFail [][]float64              // per service: per-transient failure
 	reqFail   [][]model.RequestFailure // per service: per-request scratch
@@ -469,7 +395,7 @@ func newSession(ca *CompiledAssembly) *session {
 		ca:        ca,
 		arena:     make([]float64, 0, 64),
 		stack:     make([]float64, ca.maxStack*batchChunk+expr.LaneCallScratch),
-		keyBuf:    make([]byte, 0, 64),
+		shared:    make([][]float64, len(ca.services)),
 		stateFail: make([][]float64, len(ca.services)),
 		reqFail:   make([][]model.RequestFailure, len(ca.services)),
 	}
@@ -497,10 +423,23 @@ func newSession(ca *CompiledAssembly) *session {
 }
 
 // pfailTop evaluates a top-level invocation, seeding the arena with the
-// caller-supplied parameters.
+// caller-supplied parameters. It starts the evaluation with an empty
+// sharing table and adds the evaluation's sharing counts to the
+// assembly's once, at the end.
 func (s *session) pfailTop(svcIdx int, params []float64) (float64, error) {
+	for i := range s.shared {
+		s.shared[i] = s.shared[i][:0]
+	}
+	s.hits, s.misses = 0, 0
 	s.arena = append(s.arena[:0], params...)
-	return s.pfail(svcIdx, 0, len(params))
+	p, err := s.pfail(svcIdx, 0, len(params))
+	if s.hits != 0 {
+		s.ca.shareHits.Add(s.hits)
+	}
+	if s.misses != 0 {
+		s.ca.shareMisses.Add(s.misses)
+	}
+	return p, err
 }
 
 // pfail evaluates one invocation whose actual parameters live at
@@ -523,31 +462,33 @@ func (s *session) pfail(svcIdx, off, np int) (float64, error) {
 		}
 		return clamp01(v), nil
 	}
-	if v, ok := s.ca.memoGet(s.memoKey(svcIdx, off, np)); ok {
-		return v, nil
+	frame := s.arena[off : off+np]
+	tab := s.shared[svcIdx]
+	for e := 0; e < len(tab); e += np + 1 {
+		if sameFrame(tab[e:e+np], frame) {
+			s.hits++
+			return tab[e+np], nil
+		}
 	}
+	s.misses++
 	v, err := s.evalComposite(svcIdx, off, np)
 	if err != nil {
 		return 0, err
 	}
-	// Rebuild the key: the recursion above reused keyBuf, but the
-	// parameter frame at arena[off:off+np] is intact.
-	s.ca.memoPut(s.memoKey(svcIdx, off, np), v)
+	// The recursion above only appended past frame and, since Compile
+	// rejects cycles, never touched this service's table.
+	s.shared[svcIdx] = append(append(tab, frame...), v)
 	return v, nil
 }
 
-// memoKey renders (service, params) into the reusable key buffer.
-func (s *session) memoKey(svcIdx, off, np int) []byte {
-	b := s.keyBuf[:0]
-	b = append(b, byte(svcIdx), byte(svcIdx>>8), byte(svcIdx>>16), byte(svcIdx>>24))
-	for _, p := range s.arena[off : off+np] {
-		bits := math.Float64bits(p)
-		b = append(b,
-			byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+// sameFrame reports whether two parameter frames are bit-identical.
+func sameFrame(a, b []float64) bool {
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
 	}
-	s.keyBuf = b
-	return b
+	return true
 }
 
 // evalComposite fills the composite's pre-built skeleton with numbers and

@@ -18,7 +18,7 @@ func TestCompiledConcurrentBitIdentical(t *testing.T) {
 		}
 		lists := paperLists()
 
-		// Serial reference, computed first on a cold memo.
+		// Serial reference, computed first.
 		want := make([]float64, len(lists))
 		for i, list := range lists {
 			want[i], err = ca.Pfail("search", 1, list, 1)

@@ -215,7 +215,8 @@ func TestCompiledRuntimeBadTransition(t *testing.T) {
 }
 
 // TestCompiledBatchAndMemo: PfailBatch matches point-by-point Pfail
-// bitwise, and repeat queries return the exact memoized value.
+// bitwise, and a repeat query, which recomputes the point from scratch,
+// returns the identical bits.
 func TestCompiledBatchAndMemo(t *testing.T) {
 	asm := paperAssemblies(t, 5e-6, 5e-2)["remote"]
 	ca, err := Compile(asm, Options{}, "search")

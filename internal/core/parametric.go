@@ -55,11 +55,6 @@ type ParametricOptions struct {
 	// MaxNodes bounds how many expression nodes the symbolic solve may
 	// construct per output before falling back. 0 means DefaultMaxNodes.
 	MaxNodes int
-
-	// OnFallback, when non-nil, is invoked once per root service whose
-	// closed form could not be built, with the reason. Fallback is never
-	// an error: the service still evaluates through the numeric kernel.
-	OnFallback func(service string, reason error)
 }
 
 func (po ParametricOptions) withDefaults() ParametricOptions {
@@ -320,9 +315,6 @@ func CompileParametric(resolver model.Resolver, opts Options, popts ParametricOp
 		po, perr := ca.buildParametric(idx, popts)
 		if perr != nil {
 			ca.parametricFallback[root] = perr
-			if popts.OnFallback != nil {
-				popts.OnFallback(root, perr)
-			}
 			continue
 		}
 		ca.parametric[idx] = po

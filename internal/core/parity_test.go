@@ -227,8 +227,8 @@ func TestRandomFlowParity(t *testing.T) {
 		for j := range xs {
 			xs[j] = 1 + 37*float64(j) + rng.Float64()
 			sets[j] = []float64{xs[j]}
-			// Single points first: the memo admits a key on its second
-			// visit, so the batch below computes every point afresh.
+			// Single points first; the batch below recomputes every
+			// point, since no result outlives its evaluation.
 			if single[j], err = ca.Pfail("root", xs[j]); err != nil {
 				t.Fatalf("seed %d: compiled x=%g: %v", seed, xs[j], err)
 			}

@@ -20,9 +20,6 @@ type SupervisorConfig struct {
 	// Clock stamps last-known-good values and staleness (default
 	// RealClock).
 	Clock Clock
-	// EvalTimeout bounds each exact evaluation; an expired deadline
-	// degrades the answer instead of blocking the caller (0 = none).
-	EvalTimeout time.Duration
 	// WrapResolver, when set, decorates the assembly before the evaluator
 	// sees it — typically a RetryResolver (optionally over a
 	// fault-injecting resolver in chaos tests). Selection scoring always
@@ -245,13 +242,7 @@ func (s *Supervisor) Pfail(ctx context.Context) Answer {
 		}
 		prov = s.current.Provider
 	}
-	evalCtx := ctx
-	if s.cfg.EvalTimeout > 0 {
-		var cancel context.CancelFunc
-		evalCtx, cancel = context.WithTimeout(ctx, s.cfg.EvalTimeout)
-		defer cancel()
-	}
-	p, err := s.ev.PfailCtx(evalCtx, s.target, s.params...)
+	p, err := s.ev.PfailCtx(ctx, s.target, s.params...)
 	if err == nil {
 		s.livePfail = p
 		s.last = &LastGood{Pfail: p, Provider: prov, At: s.clock.Now()}
@@ -264,7 +255,7 @@ func (s *Supervisor) Pfail(ctx context.Context) Answer {
 		// retry once against the new binding before degrading.
 		why, _ := s.tracker.Breaker(prov).LastTrip()
 		if rerr := s.rebindLocked(ctx, why); rerr == nil {
-			if p, rerr := s.ev.PfailCtx(evalCtx, s.target, s.params...); rerr == nil {
+			if p, rerr := s.ev.PfailCtx(ctx, s.target, s.params...); rerr == nil {
 				s.livePfail = p
 				s.last = &LastGood{Pfail: p, Provider: s.current.Provider, At: s.clock.Now()}
 				return Answer{Kind: Exact, Pfail: p, Provider: s.current.Provider, AsOf: s.last.At}

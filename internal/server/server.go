@@ -86,35 +86,21 @@ type BatchEvaluator interface {
 	PfailBatchCtx(ctx context.Context, service string, paramSets [][]float64) ([]float64, error)
 }
 
-// ClassConfig parameterizes one priority class.
-type ClassConfig struct {
-	// ShedFill is the queue fill fraction at or above which new requests
-	// of this class are shed (0 picks the class default: interactive 1.0,
-	// batch 0.75, best-effort 0.5; 1.0 means "only when the queue is
-	// full", which the queue-full check handles first).
-	ShedFill float64
-}
-
 // Config parameterizes a Server.
 type Config struct {
 	// Service is the default evaluation target for requests that leave
 	// Request.Service empty.
 	Service string
-	// QueueCapacity bounds the admission queue (default 64).
+	// QueueCapacity bounds the admission queue (default 64). Once the
+	// backlog is deeper than a quarter of it, the queue pops newest
+	// first.
 	QueueCapacity int
-	// LIFODepth is the backlog depth above which the queue pops newest
-	// first (default QueueCapacity/4).
-	LIFODepth int
 	// Limiter configures the AIMD concurrency limiter.
 	Limiter LimiterConfig
-	// Classes overrides per-class shed thresholds, indexed by Priority.
-	Classes [3]ClassConfig
-	// InitialEstimate seeds the service-time estimate before any
-	// completion has been observed (default 1ms).
+	// InitialEstimate seeds the service-time estimate (an EWMA of
+	// successful evaluation latencies, factor 0.2) before any completion
+	// has been observed (default 1ms).
 	InitialEstimate time.Duration
-	// EstimateDecay is the EWMA factor in (0, 1] for the service-time
-	// estimate (default 0.2).
-	EstimateDecay float64
 	// Clock drives every queue, limiter and deadline decision (default
 	// the wall clock).
 	Clock socruntime.Clock
@@ -179,6 +165,11 @@ const (
 	elevatedFill = 0.25
 	severeFill   = 0.75
 )
+
+// shedFill is, per Priority, the queue fill fraction at or above which new
+// requests of that class are shed. Interactive's 1.0 means "only when the
+// queue is full", which the queue-full check handles first.
+var shedFill = [numPriorities]float64{1.0, severeFill, 0.5}
 
 // Request is one prediction request.
 type Request struct {
@@ -270,9 +261,8 @@ type Server struct {
 }
 
 // lastExactCap bounds the scope → last-exact-time map. A new scope
-// arriving at capacity clears it wholesale, like the engine memo; a
-// cleared scope answers Unavailable on a shed until its next exact
-// answer.
+// arriving at capacity clears it wholesale; a cleared scope answers
+// Unavailable on a shed until its next exact answer.
 const lastExactCap = 4096
 
 // New builds a Server over eval. eval must not be nil.
@@ -283,20 +273,15 @@ func New(eval Evaluator, cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = socruntime.RealClock{}
 	}
-	for pri, def := range [3]float64{1.0, severeFill, 0.5} {
-		if cfg.Classes[pri].ShedFill <= 0 {
-			cfg.Classes[pri].ShedFill = def
-		}
-	}
 	inline, _ := eval.(InlineEvaluator)
 	return &Server{
 		cfg:       cfg,
 		clock:     cfg.Clock,
 		eval:      eval,
 		inline:    inline,
-		queue:     newAdmissionQueue(cfg.QueueCapacity, cfg.LIFODepth),
+		queue:     newAdmissionQueue(cfg.QueueCapacity, 0),
 		limiter:   newLimiter(cfg.Limiter),
-		lat:       newLatencyDigest(cfg.InitialEstimate, cfg.EstimateDecay),
+		lat:       newLatencyDigest(cfg.InitialEstimate, 0),
 		lastExact: make(map[string]time.Time),
 	}
 }
@@ -547,7 +532,7 @@ func (s *Server) admitLocked(pri Priority, deadline, now time.Time) error {
 		s.stats.ShedQueueFull++
 		return ErrQueueFull
 	}
-	if fill := s.queue.fill(); fill >= s.cfg.Classes[pri].ShedFill {
+	if fill := s.queue.fill(); fill >= shedFill[pri] {
 		s.stats.ShedClass++
 		return fmt.Errorf("%w (class %s, fill %.2f)", ErrClassShed, pri, fill)
 	}
