@@ -7,7 +7,6 @@ package socrel
 import (
 	"context"
 
-	"socrel/internal/model"
 	"socrel/internal/monitor"
 	socruntime "socrel/internal/runtime"
 )
@@ -34,30 +33,18 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return monitor.New(cfg) }
 
 // Self-healing runtime.
 type (
-	// RetryPolicy configures a retrying resolver (attempts, backoff,
-	// budget, per-attempt deadline, retryability classification).
-	RetryPolicy = socruntime.RetryPolicy
-	// HealthConfig configures per-provider health tracking: a circuit
-	// breaker fed by a SPRT monitor and by typed evaluation errors.
-	HealthConfig = socruntime.HealthConfig
 	// SupervisorConfig configures a supervisor.
 	SupervisorConfig = socruntime.SupervisorConfig
 	// RebindEvent records one supervised failover.
 	RebindEvent = socruntime.RebindEvent
 )
 
-// NewRetryResolver returns a decorator over base that retries lookups
-// with budgeted, jittered backoff.
-func NewRetryResolver(base model.Resolver, policy RetryPolicy) *socruntime.RetryResolver {
-	return socruntime.NewRetryResolver(base, policy)
-}
-
 // NewSupervisor builds a supervisor for one (caller, role) binding inside
 // asm, performs the initial reliability-driven selection among candidates,
 // and starts watching the winner. The supervisor streams outcomes into
-// the health layer, rebinds away from quarantined providers, and answers
-// Stale or Unavailable instead of lying when no exact answer is
-// available.
+// an SPRT per provider, quarantines and rebinds away from a provider that
+// runs below its prediction, and answers Stale or Unavailable instead of
+// lying when no exact answer is available.
 func NewSupervisor(ctx context.Context, cfg SupervisorConfig, asm *Assembly, caller, role string, candidates []Candidate, opts Options, target string, params ...float64) (*socruntime.Supervisor, error) {
 	return socruntime.NewSupervisor(ctx, cfg, asm, caller, role, candidates, opts, target, params...)
 }

@@ -251,37 +251,12 @@ func TestFacadeSimpleConstructors(t *testing.T) {
 func TestFacadeSelfHealingRuntime(t *testing.T) {
 	clk := socruntime.NewFakeClock(time.Unix(0, 0))
 
-	b := socruntime.NewBreaker(socruntime.BreakerConfig{FailureThreshold: 2, OpenFor: time.Minute, Clock: clk})
-	if b.State() != socruntime.Closed {
-		t.Errorf("fresh breaker = %v", b.State())
-	}
-	b.Trip(socruntime.ErrProviderDegraded)
-	if b.State() != socruntime.Open {
-		t.Errorf("tripped breaker = %v", b.State())
-	}
-
-	if socruntime.DefaultRetryable(socruntime.ErrAttemptTimeout) != true {
-		t.Error("attempt timeouts should retry")
-	}
-	if socruntime.DefaultRetryable(socrel.ErrCanceled) {
-		t.Error("cancellations should fail fast")
-	}
-
 	p := socrel.DefaultPaperParams()
 	asm, err := socrel.LocalAssembly(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk2 := socruntime.NewFakeClock(time.Unix(0, 0))
-	clk2.AutoAdvance()
-	rr := socrel.NewRetryResolver(asm, socrel.RetryPolicy{Clock: clk2})
-	if _, err := rr.ServiceByName("search"); err != nil {
-		t.Fatal(err)
-	}
-
-	tracker := socruntime.NewHealthTracker(socrel.HealthConfig{
-		Breaker: socruntime.BreakerConfig{Clock: clk},
-	})
+	tracker := socruntime.NewHealthTracker(socrel.MonitorConfig{}, clk)
 	cands := []socrel.Candidate{{Provider: "sort1", Connector: "lpc"}}
 	sel, err := socruntime.SelectHealthyBinding(context.Background(), tracker, asm,
 		"search", "sort", cands, socrel.Options{}, "search", 1, 256, 1)
@@ -294,10 +269,19 @@ func TestFacadeSelfHealingRuntime(t *testing.T) {
 	if err := tracker.Watch("sort1", sel.Reliability); err != nil {
 		t.Fatal(err)
 	}
-	tracker.Breaker("sort1").Trip(socruntime.ErrProviderDegraded)
+	for i := 0; i < 100 && !tracker.Quarantined("sort1"); i++ {
+		tracker.Observe("sort1", false)
+	}
+	if tracker.Verdict("sort1") != socrel.VerdictViolating {
+		t.Errorf("verdict after failures = %v, want violating", tracker.Verdict("sort1"))
+	}
 	if _, err := socruntime.SelectHealthyBinding(context.Background(), tracker, asm,
 		"search", "sort", cands, socrel.Options{}, "search", 1, 256, 1); !errors.Is(err, socruntime.ErrAllQuarantined) {
 		t.Errorf("error = %v, want ErrAllQuarantined", err)
+	}
+	clk.Advance(socruntime.QuarantineWindow)
+	if tracker.Quarantined("sort1") {
+		t.Error("sort1 still quarantined after the quarantine window")
 	}
 
 	m, err := socrel.NewMonitor(socrel.MonitorConfig{Predicted: 0.9, Degraded: 0.5})

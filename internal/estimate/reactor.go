@@ -5,10 +5,7 @@ package estimate
 // the bound model far enough to act, and then acts: it rebinds the
 // drifted parameter and recomputes Pfail through a Repredictor (the
 // runtime Supervisor), publishing the old and new predictions together
-// with the triggering estimate. Where no re-prediction path exists it
-// can instead trip the provider's breaker through a DriftTripper
-// (runtime.HealthTracker), so sustained drift quarantines a provider the
-// same way hard failures do.
+// with the triggering estimate.
 //
 // The trigger is deliberately conjunctive — all of:
 //
@@ -39,12 +36,6 @@ type Repredictor interface {
 	Repredict(ctx context.Context, provider, attr string, rate float64) (oldPfail, newPfail float64, err error)
 }
 
-// DriftTripper quarantines a provider on confirmed drift.
-// *runtime.HealthTracker implements it.
-type DriftTripper interface {
-	TripDrift(provider string, reason error) bool
-}
-
 // RepredictEvent describes one completed re-prediction.
 type RepredictEvent struct {
 	// Key is the estimation bucket and Attr the rebound model attribute
@@ -68,9 +59,6 @@ type ReactorConfig struct {
 	// Repredictor, when set, receives confirmed drifts as re-prediction
 	// requests.
 	Repredictor Repredictor
-	// Tripper, when set and no Repredictor is configured, receives
-	// confirmed drifts as breaker trips.
-	Tripper DriftTripper
 	// RelThreshold is the minimum relative parameter move to act on
 	// (default 0.25).
 	RelThreshold float64
@@ -90,12 +78,11 @@ type ReactorStats struct {
 	Steps      uint64
 	Considered uint64
 	// Triggered counts trigger-gate passes, Repredicted completed
-	// re-predictions, RepredictErrors failed attempts (retried on the
-	// next Step), and Tripped breaker trips via the Tripper path.
+	// re-predictions, and RepredictErrors failed attempts (retried on the
+	// next Step).
 	Triggered       uint64
 	Repredicted     uint64
 	RepredictErrors uint64
-	Tripped         uint64
 }
 
 // binding is one parameter under reactor management.
@@ -162,7 +149,7 @@ func (r *Reactor) Observe(ctx context.Context, o Outcome) ([]RepredictEvent, err
 }
 
 // Step evaluates every managed binding once, in deterministic key order,
-// re-predicting (or tripping) those whose drift is confirmed. It returns
+// re-predicting those whose drift is confirmed. It returns
 // the completed re-predictions; a failed re-prediction attempt records an
 // error (returned after the full pass) and is retried on the next Step.
 func (r *Reactor) Step(ctx context.Context) ([]RepredictEvent, error) {
@@ -209,17 +196,6 @@ func (r *Reactor) Step(ctx context.Context) ([]RepredictEvent, error) {
 		r.stats.Triggered++
 
 		if r.cfg.Repredictor == nil {
-			if r.cfg.Tripper != nil {
-				r.cfg.Tripper.TripDrift(k.Provider, fmt.Errorf(
-					"estimate: %s drifted from %g to %g (CI [%g, %g], %d obs)",
-					b.attr, b.rate, target, est.Lo, est.Hi, est.Observations))
-				r.stats.Tripped++
-				// Re-arm against the unchanged bound so one confirmed
-				// drift trips once, not once per Step.
-				if err := r.cfg.Estimator.SetBound(k, b.rate); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
 			continue
 		}
 

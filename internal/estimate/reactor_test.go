@@ -29,13 +29,6 @@ func (f *fakeRepredictor) Repredict(_ context.Context, provider, attr string, ra
 	return 0.1, 0.2, nil
 }
 
-type fakeTripper struct{ trips []string }
-
-func (f *fakeTripper) TripDrift(provider string, _ error) bool {
-	f.trips = append(f.trips, provider)
-	return true
-}
-
 func TestNewReactorValidation(t *testing.T) {
 	if _, err := NewReactor(ReactorConfig{}); err == nil {
 		t.Fatal("NewReactor accepted nil estimator")
@@ -190,36 +183,6 @@ func TestReactorRetriesFailedRepredict(t *testing.T) {
 	}
 	s := r.Stats()
 	if s.RepredictErrors != 1 || s.Repredicted != 1 {
-		t.Fatalf("stats: %+v", s)
-	}
-}
-
-func TestReactorTripperPath(t *testing.T) {
-	e, _ := newTestEstimator(t, Config{})
-	tr := &fakeTripper{}
-	r, err := NewReactor(ReactorConfig{Estimator: e, Tripper: tr})
-	if err != nil {
-		t.Fatalf("NewReactor: %v", err)
-	}
-	k := Key{Provider: "p", Context: "c", Load: 0}
-	if err := r.Bind(k, "lambda", 0.05); err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	driveDrift(e, k, 0.25, 8, 5000)
-	if _, err := r.Step(context.Background()); err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	if len(tr.trips) != 1 || tr.trips[0] != "p" {
-		t.Fatalf("trips: %v", tr.trips)
-	}
-	// One confirmed drift trips once, not once per Step.
-	if _, err := r.Step(context.Background()); err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	if len(tr.trips) != 1 {
-		t.Fatalf("re-tripped on stale evidence: %v", tr.trips)
-	}
-	if s := r.Stats(); s.Tripped != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
 }

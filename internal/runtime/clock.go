@@ -4,26 +4,22 @@
 // activities to check whether the assembly of selected services will
 // actually achieve the predicted reliability").
 //
-// Three cooperating pieces:
+// Two cooperating pieces:
 //
-//   - RetryResolver decorates a model.Resolver with budgeted retries,
-//     exponential backoff with full jitter, per-attempt deadlines, and
-//     retryable-vs-permanent classification driven by the engine's typed
-//     error taxonomy.
-//   - HealthTracker keeps a per-provider circuit breaker fed by two
-//     signals: invocation outcomes streamed into a per-provider
-//     monitor.Monitor (an SPRT Violating verdict trips the breaker) and
-//     repeated typed evaluation errors. SelectHealthyBinding is the
+//   - HealthTracker keeps a per-provider SPRT monitor (monitor.Monitor)
+//     over streamed invocation outcomes. A Violating verdict quarantines
+//     the provider for QuarantineWindow; when the window ends its SPRT is
+//     re-armed and it can be selected again. SelectHealthyBinding is the
 //     registry selection variant that excludes quarantined providers.
-//   - Supervisor ties both to an assembly: it performs the initial
-//     reliability-driven binding, streams outcomes, rebinds automatically
-//     when the current binding's breaker opens, and serves degraded
-//     answers (last-known-good with staleness, or Unavailable without
-//     one) when an exact Pfail is unavailable.
+//   - Supervisor ties it to an assembly: it performs the initial
+//     reliability-driven binding, streams outcomes, rebinds
+//     automatically when the current binding is quarantined, and serves
+//     degraded answers (last-known-good with staleness, or Unavailable
+//     without one) when an exact Pfail is unavailable.
 //
 // All time-dependent behavior runs against the Clock interface so tests
-// are deterministic: backoff, breaker quarantine windows, and staleness
-// metadata never require a wall-clock sleep in unit tests.
+// are deterministic: quarantine windows and staleness metadata never
+// require a wall-clock sleep in unit tests.
 package runtime
 
 import (
@@ -32,8 +28,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time for retry backoff, breaker quarantine windows, and
-// staleness metadata. The zero configuration of every type in this package
+// Clock abstracts time for quarantine windows, staleness metadata and
+// injected latency. The zero configuration of every type in this package
 // uses the real wall clock.
 type Clock interface {
 	// Now returns the current time.
@@ -73,7 +69,7 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 //
 //   - auto-advance (AutoAdvance): Sleep records the requested duration,
 //     advances the clock, and returns immediately — single-threaded
-//     backoff tests assert the recorded delay sequence;
+//     tests assert the recorded delay sequence;
 //   - manual: Sleep and After block on virtual timers that only fire when
 //     the test calls Advance, with WaitForTimers to synchronize against
 //     goroutines that are about to block.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"socrel/internal/assembly"
 	"socrel/internal/core"
@@ -14,63 +15,62 @@ import (
 
 // Errors returned by the health layer.
 var (
-	// ErrProviderDegraded is the trip reason when a provider's SPRT
+	// ErrProviderDegraded is the quarantine reason when a provider's SPRT
 	// monitor decides it is running below its predicted reliability.
 	ErrProviderDegraded = errors.New("runtime: provider violating predicted reliability")
+	// ErrQuarantined marks operations refused because a provider is
+	// quarantined: its SPRT decided Violating less than QuarantineWindow
+	// ago.
+	ErrQuarantined = errors.New("runtime: provider quarantined")
 	// ErrAllQuarantined is returned by SelectHealthyBinding when every
 	// candidate provider is quarantined.
 	ErrAllQuarantined = errors.New("runtime: all candidate providers quarantined")
-	// ErrDrift is the trip reason when the estimation layer confirms a
-	// provider's failure parameters drifted away from the bound model.
-	ErrDrift = errors.New("runtime: failure-parameter drift")
 )
 
-// HealthConfig parameterizes a HealthTracker.
-type HealthConfig struct {
-	// Breaker configures every per-provider circuit breaker.
-	Breaker BreakerConfig
-	// Monitor is the template for per-provider SPRT monitors; Predicted
-	// and Degraded are overridden per provider when it is watched.
-	Monitor monitor.Config
-	// DegradedRatio sets each monitor's H1 as ratio*predicted (default:
-	// the monitor package's 0.9*predicted).
-	DegradedRatio float64
-	// OnTrip, when set, is called whenever a provider's breaker opens —
-	// from an SPRT violation or from repeated evaluation errors. It runs
-	// with the tracker's lock held; it must not call back into the
-	// tracker.
-	OnTrip func(provider string, reason error)
-}
+// QuarantineWindow is how long a provider whose SPRT decided Violating
+// is kept out of selection. When the window ends, the provider's SPRT is
+// re-armed (its cumulative and windowed counts are kept) and it can be
+// selected again, to be judged afresh on its next invocation outcomes.
+const QuarantineWindow = 30 * time.Second
 
-// providerHealth is one provider's breaker plus SPRT monitor.
+// providerHealth is one provider's SPRT monitor and its quarantine:
+// why is the reason of the quarantine that ends at until, nil when the
+// provider is not quarantined.
 type providerHealth struct {
-	breaker *Breaker
-	mon     *monitor.Monitor
+	mon   *monitor.Monitor
+	why   error
+	until time.Time
 }
 
-// HealthTracker keeps per-provider health: a circuit breaker fed by typed
-// evaluation errors and by an SPRT monitor over streamed invocation
-// outcomes. It is safe for concurrent use.
+// HealthTracker keeps per-provider health: an SPRT monitor over streamed
+// invocation outcomes, and the quarantine its Violating verdict starts.
+// It is safe for concurrent use.
 type HealthTracker struct {
-	cfg HealthConfig
+	mon   monitor.Config
+	clock Clock
 
 	mu        sync.Mutex
 	providers map[string]*providerHealth
 }
 
-// NewHealthTracker returns an empty tracker.
-func NewHealthTracker(cfg HealthConfig) *HealthTracker {
-	cfg.Breaker = cfg.Breaker.withDefaults()
-	return &HealthTracker{cfg: cfg, providers: make(map[string]*providerHealth)}
+// NewHealthTracker returns an empty tracker. mon is the template for the
+// per-provider SPRT monitors (Predicted and Degraded are set per provider
+// when it is watched); clock times the quarantine windows (nil means
+// RealClock).
+func NewHealthTracker(mon monitor.Config, clock Clock) *HealthTracker {
+	if clock == nil {
+		clock = RealClock{}
+	}
+	return &HealthTracker{mon: mon, clock: clock, providers: make(map[string]*providerHealth)}
 }
 
 // Watch starts (or re-parameterizes) health tracking for a provider whose
 // predicted reliability is predicted. A provider already watched keeps its
-// breaker and its accumulated monitor evidence; only a change of the
+// quarantine and its accumulated monitor evidence; only a change of the
 // predicted reliability re-arms the SPRT (preserving cumulative and
 // windowed statistics via Snapshot/Restore).
 func (h *HealthTracker) Watch(provider string, predicted float64) error {
-	cfg := h.cfg.Monitor
+	cfg := h.mon
 	// A prediction of exactly 0 or 1 is outside the SPRT's open interval;
 	// nudge it inside so perfect (or hopeless) predictions stay watchable.
 	const eps = 1e-9
@@ -81,11 +81,7 @@ func (h *HealthTracker) Watch(provider string, predicted float64) error {
 		predicted = eps
 	}
 	cfg.Predicted = predicted
-	if h.cfg.DegradedRatio > 0 {
-		cfg.Degraded = h.cfg.DegradedRatio * predicted
-	} else {
-		cfg.Degraded = 0
-	}
+	cfg.Degraded = 0 // the monitor's default, 0.9*predicted
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -95,10 +91,7 @@ func (h *HealthTracker) Watch(provider string, predicted float64) error {
 		if err != nil {
 			return fmt.Errorf("runtime: watch %q: %w", provider, err)
 		}
-		h.providers[provider] = &providerHealth{
-			breaker: NewBreaker(h.cfg.Breaker),
-			mon:     mon,
-		}
+		h.providers[provider] = &providerHealth{mon: mon}
 		return nil
 	}
 	old := ph.mon.Snapshot()
@@ -116,10 +109,30 @@ func (h *HealthTracker) Watch(provider string, predicted float64) error {
 	return nil
 }
 
+// settleLocked applies the quarantine rule at the tracker's current time
+// and returns the quarantine reason, or nil when the provider may be
+// selected. Inside its window a provider stays quarantined. Past it, a
+// Violating SPRT (decided before the window ended, or restored from a
+// checkpoint) is re-armed with its counts kept, so a provider that comes
+// back is judged afresh on invocation outcomes. Callers hold h.mu.
+func (h *HealthTracker) settleLocked(ph *providerHealth) error {
+	if ph.why != nil {
+		if h.clock.Now().Before(ph.until) {
+			return ph.why
+		}
+		ph.why = nil
+	}
+	if ph.mon.SPRT() == monitor.Violating {
+		ph.mon.ResetSPRT()
+	}
+	return nil
+}
+
 // Observe streams one invocation outcome for a provider. The outcome
-// updates the provider's SPRT monitor; a Violating verdict trips the
-// breaker (once per armed test). Unwatched providers are ignored and
-// report Undecided.
+// updates the provider's SPRT monitor; a Violating verdict of an armed
+// test quarantines the provider for QuarantineWindow. A Meeting verdict
+// re-arms the test at once. Unwatched providers are ignored and report
+// Undecided.
 func (h *HealthTracker) Observe(provider string, success bool) monitor.Verdict {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -127,94 +140,45 @@ func (h *HealthTracker) Observe(provider string, success bool) monitor.Verdict {
 	if !ok {
 		return monitor.Undecided
 	}
+	h.settleLocked(ph)
 	armed := ph.mon.SPRT() == monitor.Undecided
 	ph.mon.Record(success)
 	v := ph.mon.SPRT()
 	switch {
 	case armed && v == monitor.Violating:
-		reason := fmt.Errorf("%w: SPRT violating after %d outcomes (windowed reliability %.4g)",
+		ph.why = fmt.Errorf("%w: SPRT violating after %d outcomes (windowed reliability %.4g)",
 			ErrProviderDegraded, ph.mon.Total(), ph.mon.Windowed())
-		ph.breaker.Trip(reason)
-		if h.cfg.OnTrip != nil {
-			h.cfg.OnTrip(provider, reason)
-		}
+		ph.until = h.clock.Now().Add(QuarantineWindow)
 	case v == monitor.Meeting:
 		// A Meeting decision ends one sequential test; re-arm immediately
-		// (repeated SPRT) so a later degradation is still detected. The
-		// decided-Violating state is sticky instead: it is cleared by the
-		// breaker lifecycle, not by more data.
+		// (repeated SPRT) so a later degradation is still detected. A
+		// Violating decision stays until its quarantine window ends.
 		ph.mon.ResetSPRT()
 	}
 	return v
 }
 
-// ObserveEvalError feeds one failed evaluation against a provider into its
-// breaker. Cancellation is not held against the provider (the caller gave
-// up, the provider did not fail); every other error counts toward the
-// consecutive-failure threshold.
-func (h *HealthTracker) ObserveEvalError(provider string, err error) {
-	if err == nil || errors.Is(err, core.ErrCanceled) {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ph, ok := h.providers[provider]
-	if !ok {
-		return
-	}
-	before := ph.breaker.State()
-	ph.breaker.RecordFailure(err)
-	if h.cfg.OnTrip != nil && before != Open && ph.breaker.State() == Open {
-		why, _ := ph.breaker.LastTrip()
-		h.cfg.OnTrip(provider, why)
-	}
-}
-
-// ObserveEvalSuccess feeds one successful evaluation into the provider's
-// breaker (resetting the consecutive-failure count, or consuming one
-// half-open probe).
-func (h *HealthTracker) ObserveEvalSuccess(provider string) {
+// quarantine returns why the provider is quarantined, or nil when it may
+// be selected (unwatched providers are never quarantined).
+func (h *HealthTracker) quarantine(provider string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if ph, ok := h.providers[provider]; ok {
-		ph.breaker.RecordSuccess()
-	}
-}
-
-// Quarantined reports whether the provider's breaker currently refuses
-// calls. Unwatched providers are never quarantined.
-func (h *HealthTracker) Quarantined(provider string) bool {
-	h.mu.Lock()
-	ph, ok := h.providers[provider]
-	h.mu.Unlock()
-	return ok && !ph.breaker.Allow()
-}
-
-// BreakerState returns the provider's breaker state (Closed for unwatched
-// providers).
-func (h *HealthTracker) BreakerState(provider string) BreakerState {
-	h.mu.Lock()
-	ph, ok := h.providers[provider]
-	h.mu.Unlock()
-	if !ok {
-		return Closed
-	}
-	return ph.breaker.State()
-}
-
-// Breaker returns the provider's breaker for direct inspection, or nil
-// for unwatched providers.
-func (h *HealthTracker) Breaker(provider string) *Breaker {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if ph, ok := h.providers[provider]; ok {
-		return ph.breaker
+		return h.settleLocked(ph)
 	}
 	return nil
 }
 
-// Verdict returns the provider's current SPRT verdict (Undecided for
-// unwatched providers).
+// Quarantined reports whether the provider is inside a quarantine
+// window. Unwatched providers are never quarantined.
+func (h *HealthTracker) Quarantined(provider string) bool {
+	return h.quarantine(provider) != nil
+}
+
+// Verdict returns the provider's SPRT verdict as last decided (Undecided
+// for unwatched providers). A Violating verdict is re-armed once its
+// quarantine window has ended and the tracker next consults the provider
+// (Observe, Quarantined, selection).
 func (h *HealthTracker) Verdict(provider string) monitor.Verdict {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -247,9 +211,10 @@ func (h *HealthTracker) Checkpoint() map[string]monitor.Snapshot {
 	return out
 }
 
-// RestoreCheckpoint restores monitors from a Checkpoint, creating breaker
-// state afresh (breakers protect the running process; monitors carry the
-// statistical evidence worth persisting).
+// RestoreCheckpoint restores monitors from a Checkpoint. Quarantines are
+// not part of it: they protect the running process, while monitors carry
+// the statistical evidence worth persisting. A restored Violating SPRT is
+// therefore re-armed the first time the tracker consults its provider.
 func (h *HealthTracker) RestoreCheckpoint(snap map[string]monitor.Snapshot) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -261,36 +226,13 @@ func (h *HealthTracker) RestoreCheckpoint(snap map[string]monitor.Snapshot) erro
 		if ph, ok := h.providers[name]; ok {
 			ph.mon = mon
 		} else {
-			h.providers[name] = &providerHealth{breaker: NewBreaker(h.cfg.Breaker), mon: mon}
+			h.providers[name] = &providerHealth{mon: mon}
 		}
 	}
 	return nil
 }
 
-// TripDrift opens a watched provider's breaker because the estimation
-// layer confirmed sustained failure-parameter drift — the same
-// quarantine path hard failures take, with a reason wrapping ErrDrift.
-// It reports whether the provider was watched (unwatched providers are
-// ignored). HealthTracker implements estimate.DriftTripper with it.
-func (h *HealthTracker) TripDrift(provider string, reason error) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ph, ok := h.providers[provider]
-	if !ok {
-		return false
-	}
-	why := ErrDrift
-	if reason != nil {
-		why = fmt.Errorf("%w: %w", ErrDrift, reason)
-	}
-	ph.breaker.Trip(why)
-	if h.cfg.OnTrip != nil {
-		h.cfg.OnTrip(provider, why)
-	}
-	return true
-}
-
-// Recover force-closes a provider's breaker and re-arms its SPRT. The
+// Recover ends a provider's quarantine and re-arms its SPRT. The
 // re-prediction path uses it: evidence accumulated against the old
 // prediction — including a quarantine it caused — no longer applies once
 // the model is rebound to the observed behavior. It reports whether the
@@ -302,14 +244,14 @@ func (h *HealthTracker) Recover(provider string) bool {
 	if !ok {
 		return false
 	}
-	ph.breaker.Reset()
+	ph.why = nil
 	ph.mon.ResetSPRT()
 	return true
 }
 
 // SelectHealthyBinding is registry.SelectBindingCtx restricted to healthy
-// candidates: providers whose breaker is open are excluded before scoring.
-// With every candidate quarantined it fails fast with ErrAllQuarantined
+// candidates: quarantined providers are excluded before scoring. With
+// every candidate quarantined it fails fast with ErrAllQuarantined
 // (wrapping ErrQuarantined) instead of scoring providers known to be bad.
 func SelectHealthyBinding(ctx context.Context, tracker *HealthTracker, asm *assembly.Assembly, caller, role string, candidates []registry.Candidate, opts core.Options, target string, params ...float64) (registry.Selection, error) {
 	healthy := tracker.Healthy(candidates)

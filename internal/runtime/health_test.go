@@ -3,7 +3,6 @@ package runtime_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -13,18 +12,24 @@ import (
 	rt "socrel/internal/runtime"
 )
 
-func newTestTracker(clk rt.Clock, onTrip func(string, error)) *rt.HealthTracker {
-	return rt.NewHealthTracker(rt.HealthConfig{
-		Breaker: rt.BreakerConfig{FailureThreshold: 2, OpenFor: 10 * time.Second, Clock: clk},
-		OnTrip:  onTrip,
-	})
+func newTestTracker(clk rt.Clock) *rt.HealthTracker {
+	return rt.NewHealthTracker(monitor.Config{}, clk)
+}
+
+// quarantine streams failures into p until the tracker quarantines it.
+func quarantine(t *testing.T, h *rt.HealthTracker, p string) {
+	t.Helper()
+	for i := 0; !h.Quarantined(p); i++ {
+		if i == 50 {
+			t.Fatalf("%s not quarantined after 50 failures", p)
+		}
+		h.Observe(p, false)
+	}
 }
 
 func TestHealthSPRTTripQuarantines(t *testing.T) {
 	clk := rt.NewFakeClock(t0)
-	var tripped []string
-	var reason error
-	h := newTestTracker(clk, func(p string, why error) { tripped = append(tripped, p); reason = why })
+	h := newTestTracker(clk)
 	if err := h.Watch("p", 0.99); err != nil {
 		t.Fatal(err)
 	}
@@ -44,40 +49,53 @@ func TestHealthSPRTTripQuarantines(t *testing.T) {
 	if h.Verdict("p") != monitor.Violating {
 		t.Fatalf("verdict = %v, want Violating", h.Verdict("p"))
 	}
-	if h.BreakerState("p") != rt.Open {
-		t.Fatalf("breaker = %v, want open", h.BreakerState("p"))
+
+	// Further outcomes on a decided-Violating monitor must not re-trip:
+	// the window still ends QuarantineWindow after the first trip.
+	clk.Advance(rt.QuarantineWindow - time.Second)
+	h.Observe("p", false)
+	if !h.Quarantined("p") {
+		t.Fatal("quarantine ended before its window")
 	}
-	if len(tripped) != 1 || tripped[0] != "p" {
-		t.Fatalf("OnTrip calls = %v, want exactly [p]", tripped)
-	}
-	if !errors.Is(reason, rt.ErrProviderDegraded) {
-		t.Fatalf("trip reason = %v, want ErrProviderDegraded", reason)
+	clk.Advance(time.Second)
+	total := h.Checkpoint()["p"].Total
+	if h.Quarantined("p") {
+		t.Fatal("a later outcome restarted the quarantine window")
 	}
 
-	// Further outcomes on a decided-Violating monitor must not re-trip.
-	h.Observe("p", false)
-	if b := h.Breaker("p"); b.Trips() != 1 {
-		t.Fatalf("breaker tripped %d times, want 1", b.Trips())
+	// Past the window the SPRT is re-armed with its counts kept, and the
+	// returning provider is judged afresh: the same evidence trips it
+	// again just as fast.
+	if v := h.Verdict("p"); v != monitor.Undecided {
+		t.Fatalf("verdict after the window = %v, want Undecided", v)
+	}
+	if got := h.Checkpoint()["p"].Total; got != total {
+		t.Fatalf("re-arm lost statistics: total %d -> %d", total, got)
+	}
+	again := 0
+	for !h.Quarantined("p") {
+		if again++; again > 5 {
+			t.Fatal("returning provider not re-quarantined within 5 failures")
+		}
+		h.Observe("p", false)
 	}
 }
 
 func TestHealthMeetingReArmsSPRT(t *testing.T) {
-	clk := rt.NewFakeClock(t0)
-	h := rt.NewHealthTracker(rt.HealthConfig{
-		Breaker:       rt.BreakerConfig{Clock: clk},
-		DegradedRatio: 0.5, // H1 far from H0: Meeting decisions come quickly
-	})
+	h := newTestTracker(rt.NewFakeClock(t0))
+	// H1 is 0.9*predicted, so each success moves the LLR by ln 0.9 toward
+	// a ~-4.6 Meeting threshold: one Meeting decision per ~44 successes.
 	if err := h.Watch("p", 0.5); err != nil {
 		t.Fatal(err)
 	}
 	meetings := 0
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 200; i++ {
 		if h.Observe("p", true) == monitor.Meeting {
 			meetings++
 		}
 	}
 	if meetings < 2 {
-		t.Fatalf("got %d Meeting decisions in 60 successes, want >= 2 (re-arm broken?)", meetings)
+		t.Fatalf("got %d Meeting decisions in 200 successes, want >= 2 (re-arm broken?)", meetings)
 	}
 	if v := h.Verdict("p"); v != monitor.Undecided {
 		t.Fatalf("verdict after re-arm = %v, want Undecided", v)
@@ -91,63 +109,43 @@ func TestHealthMeetingReArmsSPRT(t *testing.T) {
 	}
 }
 
-func TestHealthEvalErrorsTripBreaker(t *testing.T) {
-	clk := rt.NewFakeClock(t0)
-	trips := 0
-	h := newTestTracker(clk, func(string, error) { trips++ })
-	if err := h.Watch("p", 0.9); err != nil {
-		t.Fatal(err)
-	}
-
-	// Cancellation is never held against the provider.
-	for i := 0; i < 10; i++ {
-		h.ObserveEvalError("p", fmt.Errorf("%w: caller gave up", core.ErrCanceled))
-		h.ObserveEvalError("p", nil)
-	}
-	if h.Quarantined("p") {
-		t.Fatal("cancellations opened the breaker")
-	}
-
-	evalErr := fmt.Errorf("%w: role worker", core.ErrUnresolvedBinding)
-	h.ObserveEvalError("p", evalErr)
-	h.ObserveEvalSuccess("p") // resets the consecutive count
-	h.ObserveEvalError("p", evalErr)
-	if h.Quarantined("p") {
-		t.Fatal("non-consecutive errors opened the breaker")
-	}
-	h.ObserveEvalError("p", evalErr)
-	if !h.Quarantined("p") {
-		t.Fatal("2 consecutive eval errors did not open the breaker (threshold 2)")
-	}
-	if trips != 1 {
-		t.Fatalf("OnTrip fired %d times, want 1", trips)
-	}
-	why, _ := h.Breaker("p").LastTrip()
-	if !errors.Is(why, core.ErrUnresolvedBinding) {
-		t.Fatalf("trip reason %v does not carry the eval error", why)
-	}
-}
-
 func TestHealthUnwatchedProvidersAreInert(t *testing.T) {
-	h := newTestTracker(rt.NewFakeClock(t0), nil)
+	h := newTestTracker(rt.NewFakeClock(t0))
 	if v := h.Observe("ghost", false); v != monitor.Undecided {
 		t.Fatalf("Observe on unwatched = %v, want Undecided", v)
 	}
-	h.ObserveEvalError("ghost", errors.New("x"))
-	h.ObserveEvalSuccess("ghost")
 	if h.Quarantined("ghost") {
 		t.Fatal("unwatched provider quarantined")
 	}
-	if h.BreakerState("ghost") != rt.Closed {
-		t.Fatalf("unwatched breaker state = %v, want closed", h.BreakerState("ghost"))
+	if v := h.Verdict("ghost"); v != monitor.Undecided {
+		t.Fatalf("unwatched verdict = %v, want Undecided", v)
 	}
-	if h.Breaker("ghost") != nil {
-		t.Fatal("Breaker returned a breaker for an unwatched provider")
+	if h.Recover("ghost") {
+		t.Fatal("Recover on unwatched provider returned true")
+	}
+}
+
+// TestHealthRecoverEndsQuarantine: Recover lifts a running quarantine
+// and re-arms the SPRT at once, without waiting for the window.
+func TestHealthRecoverEndsQuarantine(t *testing.T) {
+	h := newTestTracker(rt.NewFakeClock(t0))
+	if err := h.Watch("p", 0.95); err != nil {
+		t.Fatal(err)
+	}
+	quarantine(t, h, "p")
+	if !h.Recover("p") {
+		t.Fatal("Recover failed on watched provider")
+	}
+	if h.Quarantined("p") {
+		t.Fatal("provider still quarantined after Recover")
+	}
+	if v := h.Verdict("p"); v != monitor.Undecided {
+		t.Fatalf("verdict after Recover: %v", v)
 	}
 }
 
 func TestHealthWatchReArmOnNewPrediction(t *testing.T) {
-	h := newTestTracker(rt.NewFakeClock(t0), nil)
+	h := newTestTracker(rt.NewFakeClock(t0))
 	if err := h.Watch("p", 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +187,7 @@ func TestHealthWatchReArmOnNewPrediction(t *testing.T) {
 
 func TestHealthCheckpointRestore(t *testing.T) {
 	clk := rt.NewFakeClock(t0)
-	h := newTestTracker(clk, nil)
+	h := newTestTracker(clk)
 	if err := h.Watch("p", 0.99); err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +199,10 @@ func TestHealthCheckpointRestore(t *testing.T) {
 	}
 	snap := h.Checkpoint()
 
-	// The restored tracker keeps the SPRT evidence but starts with fresh
-	// breakers: monitors carry the statistics worth persisting, breakers
-	// protect the new process.
-	h2 := newTestTracker(clk, nil)
+	// The restored tracker keeps the SPRT evidence but no quarantine:
+	// monitors carry the statistics worth persisting, quarantines protect
+	// the running process.
+	h2 := newTestTracker(clk)
 	if err := h2.RestoreCheckpoint(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +213,12 @@ func TestHealthCheckpointRestore(t *testing.T) {
 		t.Fatal("restore lost outcome counts")
 	}
 	if h2.Quarantined("p") {
-		t.Fatal("restore resurrected breaker state")
+		t.Fatal("restore resurrected the quarantine")
+	}
+	// With no quarantine running, the restored Violating SPRT is re-armed
+	// so the provider's next outcomes are judged afresh.
+	if v := h2.Verdict("p"); v != monitor.Undecided {
+		t.Fatalf("restored verdict after consulting the provider = %v, want Undecided", v)
 	}
 
 	// Restoring a corrupt snapshot fails loudly.
@@ -229,7 +232,7 @@ func TestHealthCheckpointRestore(t *testing.T) {
 func TestSelectHealthyBindingExcludesQuarantined(t *testing.T) {
 	clk := rt.NewFakeClock(t0)
 	asm, cands := buildWorkerAssembly(t, 0.01, 0.03)
-	h := newTestTracker(clk, nil)
+	h := newTestTracker(clk)
 	for _, c := range cands {
 		if err := h.Watch(c.Provider, 0.95); err != nil {
 			t.Fatal(err)
@@ -247,7 +250,7 @@ func TestSelectHealthyBindingExcludesQuarantined(t *testing.T) {
 	}
 
 	// Quarantining the best candidate reroutes to the runner-up.
-	h.Breaker("providerA").Trip(errors.New("degraded"))
+	quarantine(t, h, "providerA")
 	sel, err = rt.SelectHealthyBinding(ctx, h, asm, "app", "worker", cands, core.Options{}, "app")
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +260,7 @@ func TestSelectHealthyBindingExcludesQuarantined(t *testing.T) {
 	}
 
 	// All quarantined: fail fast with the typed sentinel.
-	h.Breaker("providerB").Trip(errors.New("degraded"))
+	quarantine(t, h, "providerB")
 	_, err = rt.SelectHealthyBinding(ctx, h, asm, "app", "worker", cands, core.Options{}, "app")
 	if !errors.Is(err, rt.ErrAllQuarantined) || !errors.Is(err, rt.ErrQuarantined) {
 		t.Fatalf("err = %v, want ErrAllQuarantined wrapping ErrQuarantined", err)

@@ -15,25 +15,20 @@ import (
 
 // SupervisorConfig parameterizes a Supervisor.
 type SupervisorConfig struct {
-	// Health configures the per-provider breakers and SPRT monitors.
-	Health HealthConfig
-	// Clock stamps last-known-good values and staleness (default
-	// RealClock).
+	// Monitor is the template for the per-provider SPRT monitors;
+	// Predicted and Degraded are set per provider when it is watched.
+	Monitor monitor.Config
+	// Clock stamps last-known-good values and staleness, and times
+	// quarantine windows (default RealClock).
 	Clock Clock
 	// WrapResolver, when set, decorates the assembly before the evaluator
-	// sees it — typically a RetryResolver (optionally over a
-	// fault-injecting resolver in chaos tests). Selection scoring always
+	// sees it. It is the tests' fault-injection seam (chaos_test.go wraps
+	// the assembly in internal/faultinject). Selection scoring always
 	// runs against the undecorated assembly.
 	WrapResolver func(model.Resolver) model.Resolver
 	// OnRebind, when set, is called after every successful automatic
 	// rebind.
 	OnRebind func(RebindEvent)
-	// OnOutcome, when set, receives a typed OutcomeEvent for every
-	// invocation reported via ReportInvocation/ReportOutcome. It is
-	// called outside the supervisor's lock (calling back into the
-	// supervisor is safe) — this is the outcome stream estimation
-	// layers consume.
-	OnOutcome func(OutcomeEvent)
 	// OnRepredict, when set, is called after every completed
 	// re-prediction (see Repredict), outside the supervisor's lock.
 	OnRepredict func(RepredictEvent)
@@ -54,10 +49,10 @@ type RebindEvent struct {
 // Supervisor makes one open role of an assembly self-healing: it performs
 // the initial reliability-driven binding among the candidates, streams
 // observed invocation outcomes into the health layer, rebinds
-// automatically when the current binding's breaker opens (SPRT violation
-// or repeated evaluation errors), and serves tagged degraded answers when
-// an exact prediction is unavailable. Methods are safe for concurrent
-// use; evaluations are serialized internally.
+// automatically when the current binding's SPRT decides Violating and
+// quarantines it, and serves tagged degraded answers when an exact
+// prediction is unavailable. Methods are safe for concurrent use;
+// evaluations are serialized internally.
 type Supervisor struct {
 	cfg     SupervisorConfig
 	clock   Clock
@@ -107,13 +102,10 @@ func NewSupervisor(ctx context.Context, cfg SupervisorConfig, asm *assembly.Asse
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock{}
 	}
-	if cfg.Health.Breaker.Clock == nil {
-		cfg.Health.Breaker.Clock = cfg.Clock
-	}
 	s := &Supervisor{
 		cfg:        cfg,
 		clock:      cfg.Clock,
-		tracker:    NewHealthTracker(cfg.Health),
+		tracker:    NewHealthTracker(cfg.Monitor, cfg.Clock),
 		asm:        asm,
 		caller:     caller,
 		role:       role,
@@ -208,61 +200,53 @@ func (s *Supervisor) RestoreCheckpoint(snap map[string]monitor.Snapshot) error {
 }
 
 // ReportOutcome streams one observed invocation outcome of the currently
-// bound provider. If the accumulated evidence trips the provider's
-// breaker (SPRT Violating), the supervisor immediately rebinds to the
-// best healthy alternative. It returns the SPRT verdict after the
-// outcome and whether a rebind happened (rebindErr reports a rebind that
-// was needed but found no healthy candidate — the binding then stays and
-// answers degrade). It is shorthand for ReportInvocation with a nominal
-// invocation; richer reporters (latency, exposure, context, load) use
-// ReportInvocation directly.
+// bound provider. If the accumulated evidence makes the provider's SPRT
+// decide Violating, the provider is quarantined and the supervisor
+// immediately rebinds to the best healthy alternative. It returns the
+// SPRT verdict after the outcome and whether a rebind happened (rebindErr
+// reports a rebind that was needed but found no healthy candidate — the
+// binding then stays and answers degrade).
 func (s *Supervisor) ReportOutcome(ctx context.Context, success bool) (v monitor.Verdict, rebound bool, rebindErr error) {
-	return s.ReportInvocation(ctx, Invocation{Success: success})
+	s.lock()
+	defer s.unlock()
+	prov := s.current.Provider
+	v = s.tracker.Observe(prov, success)
+	if why := s.tracker.quarantine(prov); why != nil {
+		if err := s.rebindLocked(ctx, why); err != nil {
+			return v, false, err
+		}
+		return v, true, nil
+	}
+	return v, false, nil
 }
 
 // Pfail returns the current prediction for the supervised target
-// invocation, degrading instead of failing: an open breaker on the
-// current binding (with no healthy alternative), a solver that did not
-// converge, or an expired deadline each produce a tagged non-exact
-// answer. Exact answers refresh the last-known-good value.
+// invocation, degrading instead of failing: a quarantined binding (with
+// no healthy alternative), a solver that did not converge, or an expired
+// deadline each produce a tagged non-exact answer. A failed evaluation
+// is not held against the provider: only invocation outcomes are. Exact
+// answers refresh the last-known-good value.
 func (s *Supervisor) Pfail(ctx context.Context) Answer {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.lock()
 	defer s.unlock()
-	prov := s.current.Provider
-	if s.tracker.Quarantined(prov) {
+	if why := s.tracker.quarantine(s.current.Provider); why != nil {
 		// The binding is quarantined and no rebind target was available
-		// when it tripped; try once more now (a sibling breaker may have
-		// closed since), then degrade.
-		why, _ := s.tracker.Breaker(prov).LastTrip()
+		// when it tripped; try once more now (a sibling's window may have
+		// ended since), then degrade.
 		if err := s.rebindLocked(ctx, why); err != nil {
-			return s.degradeLocked(fmt.Errorf("%w: %q: %w", ErrQuarantined, prov, why))
+			return s.degradeLocked(fmt.Errorf("%w: %q: %w", ErrQuarantined, s.current.Provider, why))
 		}
-		prov = s.current.Provider
 	}
 	p, err := s.ev.PfailCtx(ctx, s.target, s.params...)
-	if err == nil {
-		s.livePfail = p
-		s.last = &LastGood{Pfail: p, Provider: prov, At: s.clock.Now()}
-		s.tracker.ObserveEvalSuccess(prov)
-		return Answer{Kind: Exact, Pfail: p, Provider: prov, AsOf: s.last.At}
+	if err != nil {
+		return s.degradeLocked(err)
 	}
-	s.tracker.ObserveEvalError(prov, err)
-	if s.tracker.Quarantined(prov) {
-		// Repeated typed evaluation errors opened the breaker: rebind and
-		// retry once against the new binding before degrading.
-		why, _ := s.tracker.Breaker(prov).LastTrip()
-		if rerr := s.rebindLocked(ctx, why); rerr == nil {
-			if p, rerr := s.ev.PfailCtx(ctx, s.target, s.params...); rerr == nil {
-				s.livePfail = p
-				s.last = &LastGood{Pfail: p, Provider: s.current.Provider, At: s.clock.Now()}
-				return Answer{Kind: Exact, Pfail: p, Provider: s.current.Provider, AsOf: s.last.At}
-			}
-		}
-	}
-	return s.degradeLocked(err)
+	s.livePfail = p
+	s.last = &LastGood{Pfail: p, Provider: s.current.Provider, At: s.clock.Now()}
+	return Answer{Kind: Exact, Pfail: p, Provider: s.current.Provider, AsOf: s.last.At}
 }
 
 func (s *Supervisor) degradeLocked(cause error) Answer {

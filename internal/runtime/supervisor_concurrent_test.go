@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"socrel/internal/core"
 	rt "socrel/internal/runtime"
@@ -12,23 +11,16 @@ import (
 
 // TestSupervisorConcurrentPfailDuringRebinds hammers one supervisor from
 // concurrent predictors and outcome reporters. The reporters stream
-// mostly-failure outcomes with a short breaker quarantine, so bindings
-// trip, rebind, recover, and trip again while predictions are in flight.
-// Run under -race this is the concurrency contract of the supervisor:
-// every answer is tagged, exact ⇔ nil-error holds for every single
-// answer, and exact answers always quote a real candidate.
+// mostly-failure outcomes and keep advancing a fake clock past the
+// quarantine window, so bindings trip, rebind, come back, and trip again
+// while predictions are in flight. Run under -race this is the
+// concurrency contract of the supervisor: every answer is tagged,
+// exact ⇔ nil-error holds for every single answer, and exact answers
+// always quote a real candidate.
 func TestSupervisorConcurrentPfailDuringRebinds(t *testing.T) {
 	asm, cands := buildWorkerAssembly(t, 0.01, 0.03)
-	cfg := rt.SupervisorConfig{
-		Clock: rt.RealClock{},
-		Health: rt.HealthConfig{
-			Breaker: rt.BreakerConfig{
-				FailureThreshold: 3,
-				OpenFor:          200 * time.Microsecond,
-				ProbeSuccesses:   1,
-			},
-		},
-	}
+	clk := rt.NewFakeClock(t0)
+	cfg := rt.SupervisorConfig{Clock: clk}
 	sup, err := rt.NewSupervisor(context.Background(), cfg, asm, "app", "worker", cands, core.Options{}, "app")
 	if err != nil {
 		t.Fatal(err)
@@ -63,10 +55,13 @@ func TestSupervisorConcurrentPfailDuringRebinds(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				// Mostly failures, so breakers trip and rebinds fire; the
-				// occasional success closes half-open breakers again and
-				// keeps candidates cycling in and out of quarantine.
+				// Mostly failures, so SPRTs trip and rebinds fire; every
+				// tenth outcome ends the running quarantine windows, so
+				// candidates keep cycling in and out of quarantine.
 				sup.ReportOutcome(ctx, (g+i)%5 == 0)
+				if i%10 == 9 {
+					clk.Advance(rt.QuarantineWindow)
+				}
 			}
 		}(g)
 	}

@@ -48,10 +48,7 @@ func newTestSupervisor(t *testing.T, clk rt.Clock, wrap func(model.Resolver) mod
 	t.Helper()
 	asm, cands := buildWorkerAssembly(t, 0.01, 0.03)
 	cfg := rt.SupervisorConfig{
-		Clock: clk,
-		Health: rt.HealthConfig{
-			Breaker: rt.BreakerConfig{FailureThreshold: 3, OpenFor: 30 * time.Second, ProbeSuccesses: 1},
-		},
+		Clock:        clk,
 		WrapResolver: wrap,
 		OnRebind:     onRebind,
 	}
@@ -97,8 +94,8 @@ func TestSupervisorSPRTFailoverAndRecovery(t *testing.T) {
 		t.Fatalf("setup answer = %+v, want exact", ans)
 	}
 
-	// Stream failures: the SPRT trips providerA's breaker and the
-	// supervisor rebinds to providerB in the same call.
+	// Stream failures: providerA's SPRT decides Violating, quarantining
+	// it, and the supervisor rebinds to providerB in the same call.
 	var rebound bool
 	for i := 0; i < 50 && !rebound; i++ {
 		var err error
@@ -163,9 +160,9 @@ func TestSupervisorSPRTFailoverAndRecovery(t *testing.T) {
 		t.Fatalf("stale Age = %v, want >= 5s", ans.Age)
 	}
 
-	// After the quarantine window the breakers half-open and exact service
-	// resumes without manual intervention.
-	clk.Advance(30 * time.Second)
+	// After the quarantine window the providers are selectable again and
+	// exact service resumes without manual intervention.
+	clk.Advance(rt.QuarantineWindow)
 	ans = sup.Pfail(ctx)
 	if !ans.IsExact() {
 		t.Fatalf("answer after quarantine window = %+v, want exact", ans)
@@ -255,13 +252,17 @@ func TestSupervisorStaleOnCanceledEvaluation(t *testing.T) {
 	}
 
 	// A deadline is the caller's choice, not the provider's failure: the
-	// breaker must not have moved.
-	if sup.Tracker().BreakerState("providerA") != rt.Closed {
+	// provider must not have been quarantined or rebound away from.
+	if sup.Tracker().Quarantined("providerA") || sup.Current().Provider != "providerA" {
 		t.Fatal("an expired caller deadline was held against the provider")
 	}
 }
 
-func TestSupervisorEvalErrorsTriggerRebind(t *testing.T) {
+// TestSupervisorEvalErrorsDegradeWithoutRebind: a failing evaluation
+// degrades the answer but is not evidence against the provider. Only
+// invocation outcomes are, so no number of evaluation errors quarantines
+// or rebinds.
+func TestSupervisorEvalErrorsDegradeWithoutRebind(t *testing.T) {
 	clk := rt.NewFakeClock(t0)
 	gate := &gateResolver{}
 	sup := newTestSupervisor(t, clk, func(r model.Resolver) model.Resolver {
@@ -271,31 +272,74 @@ func TestSupervisorEvalErrorsTriggerRebind(t *testing.T) {
 		return gate
 	}, nil)
 	ctx := context.Background()
+	if ans := sup.Pfail(ctx); !ans.IsExact() {
+		t.Fatalf("setup answer = %+v, want exact", ans)
+	}
 
-	// Three consecutive typed eval errors reach the breaker threshold.
 	evalErr := fmt.Errorf("%w: provider vanished", model.ErrUnknownService)
 	gate.fail(evalErr)
-	for i := 0; i < 2; i++ {
-		if ans := sup.Pfail(ctx); ans.Kind == rt.Exact {
-			t.Fatalf("call %d: got an exact answer from a failing evaluator", i)
+	for i := 0; i < 10; i++ {
+		ans := sup.Pfail(ctx)
+		if ans.Kind != rt.Stale || math.Abs(ans.Pfail-0.01) > 1e-9 || !errors.Is(ans.Err, model.ErrUnknownService) {
+			t.Fatalf("call %d: answer = %+v, want stale 0.01 wrapping ErrUnknownService", i, ans)
 		}
 	}
-	// The third failure trips the breaker; the supervisor rebinds to
-	// providerB and retries against the still-failing gate, so the answer
-	// degrades — then heal the gate and observe exact service again.
-	ans := sup.Pfail(ctx)
-	if ans.Kind == rt.Exact {
-		t.Fatalf("answer = %+v, want degraded while the gate still fails", ans)
+	if len(sup.Rebinds()) != 0 {
+		t.Fatalf("evaluation errors caused rebinds: %+v", sup.Rebinds())
 	}
-	if len(sup.Rebinds()) == 0 {
-		t.Fatal("eval-error breaker trip did not trigger a rebind")
-	}
-	if got := sup.Current().Provider; got != "providerB" {
-		t.Fatalf("bound to %q, want providerB", got)
+	if sup.Current().Provider != "providerA" || sup.Tracker().Quarantined("providerA") {
+		t.Fatal("evaluation errors were held against providerA")
 	}
 	gate.fail(nil)
-	if ans := sup.Pfail(ctx); !ans.IsExact() {
-		t.Fatalf("post-heal answer = %+v, want exact", ans)
+	if ans := sup.Pfail(ctx); !ans.IsExact() || ans.Provider != "providerA" {
+		t.Fatalf("post-heal answer = %+v, want exact from providerA", ans)
+	}
+}
+
+// TestSupervisorRequarantinesReturningProvider: a provider that comes
+// back from quarantine is judged afresh on its invocation outcomes.
+// providerA trips and the supervisor moves to providerB; after the window
+// providerB trips and providerA is bound again. If providerA then fails
+// every invocation it must be rebound away within a bounded number of
+// outcomes (two tripped it the first time), instead of serving forever
+// on an SPRT still decided from its first trip.
+func TestSupervisorRequarantinesReturningProvider(t *testing.T) {
+	clk := rt.NewFakeClock(t0)
+	sup := newTestSupervisor(t, clk, nil, nil)
+	ctx := context.Background()
+	failUntilRebound := func(want string) int {
+		t.Helper()
+		for n := 1; n <= 50; n++ {
+			_, rebound, err := sup.ReportOutcome(ctx, false)
+			if err != nil {
+				t.Fatalf("outcome %d: %v", n, err)
+			}
+			if rebound {
+				if got := sup.Current().Provider; got != want {
+					t.Fatalf("rebound to %q, want %q", got, want)
+				}
+				return n
+			}
+		}
+		t.Fatalf("not rebound to %s within 50 failed outcomes (bound to %s)", want, sup.Current().Provider)
+		return 0
+	}
+
+	failUntilRebound("providerB")
+	clk.Advance(rt.QuarantineWindow)
+	failUntilRebound("providerA")
+	// Answers from the returning provider are exact, as before.
+	for i := 0; i < 3; i++ {
+		if ans := sup.Pfail(ctx); !ans.IsExact() || ans.Provider != "providerA" {
+			t.Fatalf("answer = %+v, want exact from providerA", ans)
+		}
+	}
+	clk.Advance(rt.QuarantineWindow) // providerB's window ends too
+	n := failUntilRebound("providerB")
+	t.Logf("returning providerA rebound away after %d failed outcomes", n)
+	evs := sup.Rebinds()
+	if last := evs[len(evs)-1]; last.From.Provider != "providerA" || !errors.Is(last.Reason, rt.ErrProviderDegraded) {
+		t.Fatalf("last rebind = %+v, want away from providerA for ErrProviderDegraded", last)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestSweepParallelCtxCanceled(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	_, err := SweepParallelCtx(ctx, "s", xs, f)
+	_, err := SweepBatchCtx(ctx, "s", xs, PerPoint(f))
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want core.ErrCanceled", err)
 	}
@@ -40,12 +40,12 @@ func TestSweepParallelCtxCanceled(t *testing.T) {
 // TestSweepParallelPanicIsolated: a panicking point fails the sweep with
 // core.ErrPanic instead of crashing the worker (and the process).
 func TestSweepParallelPanicIsolated(t *testing.T) {
-	_, err := SweepParallel("s", []float64{1, 2, 3, 4}, func(x float64) (float64, error) {
+	_, err := SweepBatchCtx(context.Background(), "s", []float64{1, 2, 3, 4}, PerPoint(func(x float64) (float64, error) {
 		if x == 3 {
 			panic("boom")
 		}
 		return x, nil
-	})
+	}))
 	if !errors.Is(err, core.ErrPanic) {
 		t.Fatalf("err = %v, want core.ErrPanic", err)
 	}

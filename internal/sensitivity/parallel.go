@@ -104,25 +104,6 @@ func SweepBatchCtx(ctx context.Context, name string, xs []float64, bf BatchFunc)
 	return s, nil
 }
 
-// SweepParallel evaluates f over xs and returns the same series Sweep
-// would: points in xs order. The name is historical: the per-point
-// goroutine fan-out it once carried is gone, replaced by the batch kernel
-// (sweep a compiled service with SweepBatch + CompiledBatch to evaluate
-// the grid through core.PfailBatchCtx's worker pool). A bare Func is
-// evaluated point-at-a-time with the same isolation guarantees: a
-// panicking point surfaces core.ErrPanic without taking the process down,
-// and f is never called concurrently with itself.
-func SweepParallel(name string, xs []float64, f Func) (Series, error) {
-	return SweepBatchCtx(context.Background(), name, xs, PerPoint(f))
-}
-
-// SweepParallelCtx is SweepParallel honoring cancellation: the sweep stops
-// at the next point boundary once ctx expires and surfaces
-// core.ErrCanceled.
-func SweepParallelCtx(ctx context.Context, name string, xs []float64, f Func) (Series, error) {
-	return SweepBatchCtx(ctx, name, xs, PerPoint(f))
-}
-
 // frameCtxErr is the cancellation check for frame/draw loops that only
 // build inputs (no evaluation): the per-iteration work is tiny, so the
 // check is strided — a canceled study still stops within 256 iterations

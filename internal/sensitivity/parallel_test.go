@@ -1,6 +1,7 @@
 package sensitivity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,7 +11,8 @@ import (
 	"socrel/internal/core"
 )
 
-// TestSweepParallelMatchesSerial checks order and values against Sweep.
+// TestSweepParallelMatchesSerial checks that a per-point batch sweep
+// matches Sweep in order and values.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	xs, err := PowersOfTwo(0, 10)
 	if err != nil {
@@ -21,7 +23,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepParallel("s", xs, f)
+	par, err := SweepBatchCtx(context.Background(), "s", xs, PerPoint(f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestSweepParallelFirstError(t *testing.T) {
 		}
 		return x, nil
 	}
-	_, err := SweepParallel("s", xs, f)
+	_, err := SweepBatchCtx(context.Background(), "s", xs, PerPoint(f))
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want boom", err)
 	}
@@ -66,7 +68,7 @@ func contains(s, sub string) bool {
 
 // TestSweepParallelPaperAssemblies sweeps Pfail("search") over list sizes
 // through a shared CompiledAssembly for both paper assemblies, with eight
-// concurrent sweep callers on top of SweepParallel's own workers, and
+// concurrent sweep callers sharing the compiled assembly, and
 // requires bit-identical agreement with the serial sweep.
 func TestSweepParallelPaperAssemblies(t *testing.T) {
 	p := assembly.DefaultPaperParams()
@@ -97,7 +99,7 @@ func TestSweepParallelPaperAssemblies(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				par, err := SweepParallel(name, xs, f)
+				par, err := SweepBatchCtx(context.Background(), name, xs, PerPoint(f))
 				if err != nil {
 					t.Error(err)
 					return
@@ -114,7 +116,8 @@ func TestSweepParallelPaperAssemblies(t *testing.T) {
 	}
 }
 
-// TestSweepParallelConcurrentCallers runs several parallel sweeps at once
+// TestSweepParallelConcurrentCallers runs several per-point batch sweeps
+// at once
 // (exercised under -race in CI).
 func TestSweepParallelConcurrentCallers(t *testing.T) {
 	xs, err := LinSpace(0, 1, 64)
@@ -127,7 +130,7 @@ func TestSweepParallelConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := SweepParallel("s", xs, f)
+			s, err := SweepBatchCtx(context.Background(), "s", xs, PerPoint(f))
 			if err != nil {
 				t.Error(err)
 				return

@@ -109,21 +109,6 @@ func CompiledParamBatch(ca *core.CompiledAssembly, service string, frame func(pa
 	}
 }
 
-// CompiledReliabilityParamBatch is CompiledParamBatch over reliability
-// (1 - Pfail) instead of failure probability.
-func CompiledReliabilityParamBatch(ca *core.CompiledAssembly, service string, frame func(params map[string]float64) []float64) BatchParamFunc {
-	return func(ctx context.Context, envs []map[string]float64) ([]float64, error) {
-		sets := make([][]float64, len(envs))
-		for i, env := range envs {
-			if err := frameCtxErr(ctx, i); err != nil {
-				return nil, err
-			}
-			sets[i] = frame(env)
-		}
-		return ca.ReliabilityBatchCtx(ctx, service, sets)
-	}
-}
-
 // PerSample adapts a scalar ParamFunc to a BatchParamFunc: samples are
 // evaluated in order with a cancellation check at every sample boundary.
 func PerSample(f ParamFunc) BatchParamFunc {

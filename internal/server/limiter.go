@@ -120,18 +120,17 @@ func (l *aimdLimiter) observe(latency time.Duration, err error) {
 // latencyDigest is the admission controller's service-time estimate:
 // an EWMA of the latencies of successful evaluations.
 type latencyDigest struct {
-	alpha    float64
 	estimate time.Duration
 }
 
-func newLatencyDigest(initial time.Duration, alpha float64) *latencyDigest {
+// digestAlpha is the weight of the newest latency in the EWMA.
+const digestAlpha = 0.2
+
+func newLatencyDigest(initial time.Duration) *latencyDigest {
 	if initial <= 0 {
 		initial = time.Millisecond
 	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	return &latencyDigest{alpha: alpha, estimate: initial}
+	return &latencyDigest{estimate: initial}
 }
 
 // observe folds one successful evaluation's latency into the estimate.
@@ -139,5 +138,5 @@ func (d *latencyDigest) observe(lat time.Duration) {
 	if lat < 0 {
 		lat = 0
 	}
-	d.estimate = time.Duration((1-d.alpha)*float64(d.estimate) + d.alpha*float64(lat))
+	d.estimate = time.Duration((1-digestAlpha)*float64(d.estimate) + digestAlpha*float64(lat))
 }

@@ -100,16 +100,17 @@ func TestLimiterDefaults(t *testing.T) {
 }
 
 func TestLatencyDigestEstimate(t *testing.T) {
-	d := newLatencyDigest(time.Millisecond, 0.5)
-	d.observe(3 * time.Millisecond)
+	// The newest sample weighs 0.2: 0.8*1ms + 0.2*6ms = 2ms.
+	d := newLatencyDigest(time.Millisecond)
+	d.observe(6 * time.Millisecond)
 	if d.estimate != 2*time.Millisecond {
 		t.Fatalf("EWMA after one sample = %v, want 2ms", d.estimate)
 	}
-	d.observe(-time.Second) // negative clamps to zero
-	if d.estimate != time.Millisecond {
-		t.Fatalf("EWMA after a negative sample = %v, want 1ms", d.estimate)
+	d.observe(-time.Second) // negative clamps to zero: 0.8*2ms
+	if d.estimate != 1600*time.Microsecond {
+		t.Fatalf("EWMA after a negative sample = %v, want 1.6ms", d.estimate)
 	}
-	if d := newLatencyDigest(0, 0); d.estimate != time.Millisecond || d.alpha != 0.2 {
-		t.Fatalf("bad defaults: estimate %v, alpha %v", d.estimate, d.alpha)
+	if d := newLatencyDigest(0); d.estimate != time.Millisecond {
+		t.Fatalf("bad default: estimate %v", d.estimate)
 	}
 }

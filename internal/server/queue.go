@@ -53,7 +53,7 @@ type waiter struct {
 // admission and dispatch: one slice per priority class, popped in class
 // order. Within a class the pop order is adaptive: FIFO while the total
 // backlog is shallow (fairness), switching to LIFO once the backlog
-// crosses lifoDepth — under saturation the newest request is the one
+// crosses lifoDepth (a quarter of capacity, at least 1) — under saturation the newest request is the one
 // whose deadline budget is most likely to survive the remaining wait,
 // while old entries are swept as their budgets expire instead of being
 // served first and dying anyway.
@@ -64,17 +64,11 @@ type admissionQueue struct {
 	depth     int
 }
 
-func newAdmissionQueue(capacity, lifoDepth int) *admissionQueue {
+func newAdmissionQueue(capacity int) *admissionQueue {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	if lifoDepth <= 0 {
-		lifoDepth = capacity / 4
-		if lifoDepth < 1 {
-			lifoDepth = 1
-		}
-	}
-	return &admissionQueue{capacity: capacity, lifoDepth: lifoDepth}
+	return &admissionQueue{capacity: capacity, lifoDepth: max(capacity/4, 1)}
 }
 
 // full reports whether the queue is at capacity.

@@ -14,21 +14,21 @@ func mkWaiter(pri Priority, enq time.Time, budget time.Duration) *waiter {
 }
 
 func TestQueueDefaults(t *testing.T) {
-	q := newAdmissionQueue(0, 0)
+	q := newAdmissionQueue(0)
 	if q.capacity != 64 {
 		t.Fatalf("default capacity = %d, want 64", q.capacity)
 	}
 	if q.lifoDepth != 16 {
 		t.Fatalf("default lifoDepth = %d, want 16", q.lifoDepth)
 	}
-	q = newAdmissionQueue(2, 0)
+	q = newAdmissionQueue(2)
 	if q.lifoDepth != 1 {
 		t.Fatalf("small-capacity lifoDepth = %d, want 1", q.lifoDepth)
 	}
 }
 
 func TestQueueFIFOWhenShallow(t *testing.T) {
-	q := newAdmissionQueue(16, 8)
+	q := newAdmissionQueue(16)
 	t0 := time.Unix(0, 0)
 	a := mkWaiter(Interactive, t0, 0)
 	b := mkWaiter(Interactive, t0.Add(time.Second), 0)
@@ -46,7 +46,7 @@ func TestQueueFIFOWhenShallow(t *testing.T) {
 }
 
 func TestQueueLIFOWhenDeep(t *testing.T) {
-	q := newAdmissionQueue(16, 2)
+	q := newAdmissionQueue(8) // lifoDepth 8/4 = 2
 	t0 := time.Unix(0, 0)
 	ws := make([]*waiter, 4)
 	for i := range ws {
@@ -67,7 +67,7 @@ func TestQueueLIFOWhenDeep(t *testing.T) {
 }
 
 func TestQueuePriorityOrder(t *testing.T) {
-	q := newAdmissionQueue(16, 8)
+	q := newAdmissionQueue(16)
 	t0 := time.Unix(0, 0)
 	be := mkWaiter(BestEffort, t0, 0)
 	ba := mkWaiter(Batch, t0, 0)
@@ -84,7 +84,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 }
 
 func TestQueueSweepShedsExpired(t *testing.T) {
-	q := newAdmissionQueue(16, 8)
+	q := newAdmissionQueue(16)
 	t0 := time.Unix(0, 0)
 	fresh := mkWaiter(Interactive, t0, time.Hour)
 	dead := mkWaiter(Interactive, t0, time.Millisecond)
@@ -111,7 +111,7 @@ func TestQueueSweepShedsExpired(t *testing.T) {
 }
 
 func TestQueueRemoveRace(t *testing.T) {
-	q := newAdmissionQueue(16, 8)
+	q := newAdmissionQueue(16)
 	w := mkWaiter(Interactive, time.Unix(0, 0), 0)
 	q.push(w)
 	if !q.remove(w) {
@@ -126,7 +126,7 @@ func TestQueueRemoveRace(t *testing.T) {
 }
 
 func TestQueueFillAndFull(t *testing.T) {
-	q := newAdmissionQueue(4, 8)
+	q := newAdmissionQueue(4)
 	for i := 0; i < 4; i++ {
 		if q.full() {
 			t.Fatalf("full at depth %d of 4", i)

@@ -279,9 +279,9 @@ func New(eval Evaluator, cfg Config) *Server {
 		clock:     cfg.Clock,
 		eval:      eval,
 		inline:    inline,
-		queue:     newAdmissionQueue(cfg.QueueCapacity, 0),
+		queue:     newAdmissionQueue(cfg.QueueCapacity),
 		limiter:   newLimiter(cfg.Limiter),
-		lat:       newLatencyDigest(cfg.InitialEstimate, 0),
+		lat:       newLatencyDigest(cfg.InitialEstimate),
 		lastExact: make(map[string]time.Time),
 	}
 }

@@ -78,10 +78,6 @@ func Var(name string) Expr { return expr.Var(name) }
 type (
 	// Service is an analytic interface (simple or composite).
 	Service = model.Service
-	// Resolver resolves service names and role bindings; *Assembly is the
-	// canonical implementation, and decorators (a retrying resolver,
-	// fault injectors) wrap one.
-	Resolver = model.Resolver
 	// Request is one cascading service request inside a state.
 	Request = model.Request
 	// Attrs holds the published attributes of an analytic interface.
